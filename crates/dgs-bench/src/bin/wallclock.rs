@@ -3,7 +3,6 @@
 //! ```text
 //! wallclock [--smoke] [--workloads value-barrier,page-view,...]
 //!           [--workers 1,2,4,8] [--rates 0,200000]
-//!           [--modes auto,per-edge-ring,per-edge,ticketed]
 //!           [--per-window 500] [--windows 20] [--check-spec]
 //!           [--executor-threads N]
 //!           [--no-metrics] [--with-sim] [--recovery] [--skew]
@@ -15,18 +14,16 @@
 //! Runs registry workloads (default: the three paper workloads plus the
 //! §4.3 `page-view-forest` multi-root cell — the committed-trajectory
 //! quartet) through the unified `Job` API on the real-thread backend
-//! across the channel-mode × worker × rate grid, prints a
+//! across the worker × rate grid, prints a
 //! human-readable table, and — with `--out` — writes the
 //! machine-readable trajectory JSON (schema in `dgs_bench::report`).
 //! `--workloads` selects by name from the same
 //! `dgs_apps::registry` table the `flumina` CLI uses (`--list` prints
-//! it), so the two front ends cannot drift. `--modes` selects the
-//! delivery planes to A/B: `per-edge-ring` (lock-free SPSC rings per
-//! edge), `per-edge` (the same topology on mutex-protected deques — the
-//! pre-ring storage, which keeps this artifact name so its cells stay
-//! comparable across captures), `ticketed` (global send-order MPMC),
-//! and/or `auto` (the runtime default: resolves per host, and each
-//! recorded point names the concrete plane it picked). Rate `0` means
+//! it), so the two front ends cannot drift. Every recorded point names
+//! the edge storage its run used as `channel_mode` — `per-edge` (mutex
+//! deques: one executor shard) or `per-edge-ring` (lock-free SPSC
+//! rings: more than one) — which the runtime picks from the shard
+//! count, so `--executor-threads` is the flag that moves it. Rate `0` means
 //! unpaced max-throughput; nonzero rates pace sources on the wall clock
 //! and yield p50/p95/p99 latency. `--with-sim` appends the virtual-time
 //! figure entries so one file carries both measurement axes.
@@ -59,7 +56,6 @@ use dgs_bench::measure::Scale;
 use dgs_bench::recovery::{self, RecoverySpec};
 use dgs_bench::report::{self, Json};
 use dgs_bench::wallclock::{self, SweepSpec};
-use dgs_runtime::thread_driver::ChannelMode;
 
 fn fail(msg: &str) -> ! {
     eprintln!("wallclock: {msg}");
@@ -126,26 +122,6 @@ fn main() {
                     .collect();
             }
             "--rates" => spec.rates = parse_list(&value("--rates"), "--rates"),
-            "--modes" => {
-                spec.modes = value("--modes")
-                    .split(',')
-                    .map(|m| match m.trim() {
-                        // Artifact names (see `ChannelMode::name`):
-                        // "per-edge" is the mutex plane (the storage all
-                        // pre-ring captures measured under this name),
-                        // "per-edge-ring" the lock-free plane, "auto"
-                        // the per-host resolution (recorded points name
-                        // the concrete plane it picked).
-                        "auto" => ChannelMode::Auto,
-                        "per-edge-ring" => ChannelMode::PerEdge,
-                        "per-edge" => ChannelMode::PerEdgeMutex,
-                        "ticketed" => ChannelMode::Ticketed,
-                        other => fail(&format!(
-                            "bad --modes entry `{other}` (auto | per-edge-ring | per-edge | ticketed)"
-                        )),
-                    })
-                    .collect();
-            }
             "--per-window" => {
                 spec.per_window = value("--per-window").parse().unwrap_or_else(|_| fail("bad --per-window"));
             }
@@ -186,31 +162,9 @@ fn main() {
         }
     }
 
-    if spec.workers.is_empty() || spec.rates.is_empty() || spec.modes.is_empty() || spec.workloads.is_empty() {
-        fail("empty --workers, --rates, --modes, or --workloads");
+    if spec.workers.is_empty() || spec.rates.is_empty() || spec.workloads.is_empty() {
+        fail("empty --workers, --rates, or --workloads");
     }
-
-    // Resolve `auto` up front and dedup: `--modes auto,per-edge-ring` on
-    // a host where auto picks the rings would measure every cell twice
-    // under one identity key, and bench-diff's cell index would silently
-    // keep an arbitrary one of the duplicates. `Auto` resolves from the
-    // executor shard count the runs will actually use — the pinned
-    // `--executor-threads` value, or host parallelism by default.
-    let default_shards =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let shards = spec.executor_threads.unwrap_or(default_shards);
-    let mut resolved = Vec::new();
-    for mode in spec.modes.iter().map(|m| m.resolve(shards)) {
-        if resolved.contains(&mode) {
-            eprintln!(
-                "wallclock: dropping duplicate mode {} (auto resolved onto an explicitly listed plane)",
-                mode.name()
-            );
-        } else {
-            resolved.push(mode);
-        }
-    }
-    spec.modes = resolved;
 
     // hw_threads up front: a single-core capture measures queueing, not
     // scaling, and the artifact should say so before anyone reads the
@@ -218,10 +172,9 @@ fn main() {
     let hw_threads =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0);
     eprintln!(
-        "wallclock sweep on {} hw thread(s){}: modes {:?} × workloads {:?} × workers {:?} × rates {:?} ({} events/stream/window × {} windows){}",
+        "wallclock sweep on {} hw thread(s){}: workloads {:?} × workers {:?} × rates {:?} ({} events/stream/window × {} windows){}",
         hw_threads,
         if hw_threads <= 1 { " (single-core: paced points measure queueing, not scaling)" } else { "" },
-        spec.modes.iter().map(|m| m.name()).collect::<Vec<_>>(),
         spec.workloads,
         spec.workers,
         spec.rates,

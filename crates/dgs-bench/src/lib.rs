@@ -9,8 +9,8 @@
 //!
 //! [`wallclock`] is the other axis: it drives the *real-thread* runtime
 //! (`dgs_runtime::thread_driver`) on the paper workloads across
-//! channel-mode (per-edge vs ticketed delivery) × worker × input-rate
-//! grids and measures wall-clock throughput and latency percentiles; the
+//! worker × input-rate grids and measures wall-clock throughput and
+//! latency percentiles; the
 //! `wallclock` binary runs the sweeps. [`report`] is the shared
 //! machine-readable trajectory format (`BENCH_<date>.json`) both paths
 //! emit, with its parser and schema validator. [`diff`] compares two

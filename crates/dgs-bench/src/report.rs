@@ -46,15 +46,18 @@
 //! Percentile keys are free-form `pNN`; wall-clock entries always carry
 //! `p50`/`p95`/`p99`.
 //!
-//! `channel_mode` (wallclock entries) names the delivery plane the run
-//! used — `"per-edge"` (per-edge topology on mutex-protected deques:
-//! the storage every pre-ring capture measured under this name, kept so
-//! its cells stay comparable), `"per-edge-ring"` (the same topology on
-//! lock-free SPSC rings — the runtime default since the ring refactor;
-//! a fresh cell series), or `"ticketed"`. It is *optional* so
-//! trajectory files captured before the message-plane A/B existed keep
-//! validating; absence means the original ticketed plane (comparison
-//! tools like `bench-diff` default it accordingly).
+//! `channel_mode` (wallclock entries) names the edge storage the run
+//! used — `"per-edge"` (mutex-protected deques, chosen on one executor
+//! shard: the storage every pre-ring capture measured under this name,
+//! kept so its cells stay comparable) or `"per-edge-ring"` (lock-free
+//! SPSC rings, chosen on more than one shard). Committed captures also
+//! carry `"ticketed"`, the global-send-order plane retired when the
+//! runtime settled on per-edge delivery: the validator keeps accepting
+//! it so history is not rewritten, but no fresh sweep emits it. The
+//! field is *optional* so trajectory files captured before the
+//! message-plane A/B existed keep validating; absence means that
+//! original ticketed plane (comparison tools like `bench-diff` default
+//! it accordingly).
 //!
 //! `executor_threads` (wallclock entries) records the sharded
 //! executor's pinned event-loop thread count. It is present only when
@@ -551,7 +554,8 @@ pub fn validate_trajectory(doc: &Json) -> Result<usize, String> {
                 require_number(entry, "events", i)?;
                 require_number(entry, "elapsed_ns", i)?;
                 // Optional (absent in pre-A/B captures); when present it
-                // must be a known delivery-plane name.
+                // must be a known name — including "ticketed", which only
+                // committed captures still carry.
                 match entry.get("channel_mode") {
                     None => {}
                     Some(Json::Str(m))

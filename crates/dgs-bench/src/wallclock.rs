@@ -28,7 +28,7 @@ use dgs_apps::registry::{self, WorkloadVisitor};
 use dgs_apps::sweep::SweepWorkload;
 use dgs_apps::value_barrier::VbWorkload;
 use dgs_runtime::job::Backend;
-use dgs_runtime::thread_driver::{ChannelMode, ThreadRunOptions};
+use dgs_runtime::thread_driver::ThreadRunOptions;
 
 use crate::report::Json;
 
@@ -162,13 +162,13 @@ pub struct LatencySummary {
 pub struct WallclockPoint {
     /// Workload name ([`SweepWorkload::NAME`]).
     pub workload: &'static str,
-    /// Delivery plane the run used ([`ChannelMode::name`]):
-    /// `"per-edge-ring"` (lock-free SPSC rings), `"per-edge"` (the
-    /// mutex storage all pre-ring captures measured under this name), or
-    /// `"ticketed"` (global send-order MPMC). Always the **resolved**
-    /// plane (taken from `RunTiming::channel_mode`), so sweeping
-    /// [`ChannelMode::Auto`] still records which concrete plane this
-    /// host picked.
+    /// Edge storage the run used (`RunTiming::channel_mode`):
+    /// `"per-edge-ring"` (lock-free SPSC rings — more than one executor
+    /// shard) or `"per-edge"` (mutex deques — one shard; the storage
+    /// all pre-ring captures measured under this name). The runtime
+    /// picks it from the shard count, so `--executor-threads` is the
+    /// axis that moves it; it stays in the cell identity so fresh
+    /// sweeps key against the committed trajectories.
     pub channel_mode: &'static str,
     /// Parallel event streams (the sweep's worker axis).
     pub workers: u32,
@@ -271,8 +271,6 @@ pub struct SweepSpec {
     pub workers: Vec<u32>,
     /// Offered rates (events/sec per stream); 0 = unpaced max throughput.
     pub rates: Vec<u64>,
-    /// Delivery planes to A/B (outermost sweep axis).
-    pub modes: Vec<ChannelMode>,
     /// Events per stream per synchronization window.
     pub per_window: u64,
     /// Synchronization windows.
@@ -293,15 +291,12 @@ pub struct SweepSpec {
 impl SweepSpec {
     /// The default full sweep behind the committed trajectory files:
     /// 1–8 workers, one unpaced max-throughput run and one paced run
-    /// (which carries the latency percentiles) per cell, in all three
-    /// channel modes (ticketed vs per-edge-ring vs per-edge mutex —
-    /// the two A/B axes of the message-plane refactors).
+    /// (which carries the latency percentiles) per cell.
     pub fn full() -> Self {
         SweepSpec {
             workloads: registry::default_sweep_names(),
             workers: vec![1, 2, 4, 8],
             rates: vec![0, 200_000],
-            modes: vec![ChannelMode::Ticketed, ChannelMode::PerEdge, ChannelMode::PerEdgeMutex],
             per_window: 500,
             windows: 20,
             check_spec: false,
@@ -310,13 +305,12 @@ impl SweepSpec {
         }
     }
 
-    /// Tiny CI tier: seconds of runtime, spec-checked, all modes.
+    /// Tiny CI tier: seconds of runtime, spec-checked.
     pub fn smoke() -> Self {
         SweepSpec {
             workloads: registry::default_sweep_names(),
             workers: vec![2],
             rates: vec![0, 100_000],
-            modes: vec![ChannelMode::Ticketed, ChannelMode::PerEdge, ChannelMode::PerEdgeMutex],
             per_window: 40,
             windows: 5,
             check_spec: true,
@@ -348,14 +342,12 @@ pub const PACED_REPEATS: usize = 3;
 /// lower draws show scheduler interference, not the system under test.
 pub const UNPACED_REPEATS: usize = 5;
 
-/// Run one workload at one `(mode, workers, rate)` point. Paced points
+/// Run one workload at one `(workers, rate)` point. Paced points
 /// are repeated [`PACED_REPEATS`] times and the median-p95 run reported;
 /// unpaced points are repeated [`UNPACED_REPEATS`] times and the
 /// best-throughput run reported (`spec_ok` is the conjunction over all
 /// repeats — a divergence in any run fails the point).
-#[allow(clippy::too_many_arguments)]
 pub fn run_one<W: SweepWorkload>(
-    mode: ChannelMode,
     workers: u32,
     per_window: u64,
     windows: u64,
@@ -369,7 +361,6 @@ pub fn run_one<W: SweepWorkload>(
     let mut runs: Vec<WallclockPoint> = (0..repeats)
         .map(|_| {
             run_single::<W>(
-                mode,
                 workers,
                 per_window,
                 windows,
@@ -394,9 +385,7 @@ pub fn run_one<W: SweepWorkload>(
     point
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_single<W: SweepWorkload>(
-    mode: ChannelMode,
     workers: u32,
     per_window: u64,
     windows: u64,
@@ -417,7 +406,6 @@ fn run_single<W: SweepWorkload>(
         checkpoint_root: false,
         pace_ns_per_tick: pace_of(rate_eps),
         record_timing: true,
-        channel_mode: mode,
         executor_threads,
         metrics,
         ..Default::default()
@@ -432,8 +420,7 @@ fn run_single<W: SweepWorkload>(
     let elapsed_ns = timing.wall.as_nanos() as u64;
     WallclockPoint {
         workload: W::NAME,
-        // The *resolved* plane (an `Auto` request names what it picked).
-        channel_mode: timing.channel_mode.name(),
+        channel_mode: timing.channel_mode,
         workers,
         rate_eps,
         events: w.event_count(),
@@ -456,11 +443,9 @@ fn run_single<W: SweepWorkload>(
 }
 
 /// [`run_one`] behind a registry lookup: measure one `(workload-name,
-/// mode, workers, rate)` cell. Panics on names the registry does not
+/// workers, rate)` cell. Panics on names the registry does not
 /// know (CLIs validate first).
 pub struct RunCell {
-    /// Delivery plane.
-    pub mode: ChannelMode,
     /// Worker-count axis value.
     pub workers: u32,
     /// Events per stream per window.
@@ -482,7 +467,6 @@ impl WorkloadVisitor for RunCell {
 
     fn visit<W: SweepWorkload>(&mut self) -> WallclockPoint {
         run_one::<W>(
-            self.mode,
             self.workers,
             self.per_window,
             self.windows,
@@ -494,37 +478,32 @@ impl WorkloadVisitor for RunCell {
     }
 }
 
-/// Run the full grid: `spec.modes` × `spec.workloads` × `spec.workers`
-/// × `spec.rates`, in a deterministic order (mode-major, then workers,
-/// then rate, then workload — workloads resolved through the shared
+/// Run the full grid: `spec.workloads` × `spec.workers` × `spec.rates`,
+/// in a deterministic order (workers-major, then rate, then workload —
+/// workloads resolved through the shared
 /// [`dgs_apps::registry`]). A small discarded warm-up run precedes the
 /// grid: the first measured cells of a fresh process otherwise pay
 /// one-time costs (allocator growth, page faults, CPU frequency ramp)
 /// that showed up as phantom 2× "regressions" on the first grid cell.
 pub fn sweep(spec: &SweepSpec) -> Vec<WallclockPoint> {
-    for &mode in &spec.modes {
-        let _ = run_one::<VbWorkload>(mode, 2, 200, 5, 0, false, spec.metrics, spec.executor_threads);
-    }
+    let _ = run_one::<VbWorkload>(2, 200, 5, 0, false, spec.metrics, spec.executor_threads);
     let mut points = Vec::new();
-    for &mode in &spec.modes {
-        for &workers in &spec.workers {
-            for &rate in &spec.rates {
-                for name in &spec.workloads {
-                    let mut cell = RunCell {
-                        mode,
-                        workers,
-                        per_window: spec.per_window,
-                        windows: spec.windows,
-                        rate_eps: rate,
-                        check_spec: spec.check_spec,
-                        metrics: spec.metrics,
-                        executor_threads: spec.executor_threads,
-                    };
-                    points.push(
-                        registry::visit(name, &mut cell)
-                            .unwrap_or_else(|| panic!("unknown workload {name:?}")),
-                    );
-                }
+    for &workers in &spec.workers {
+        for &rate in &spec.rates {
+            for name in &spec.workloads {
+                let mut cell = RunCell {
+                    workers,
+                    per_window: spec.per_window,
+                    windows: spec.windows,
+                    rate_eps: rate,
+                    check_spec: spec.check_spec,
+                    metrics: spec.metrics,
+                    executor_threads: spec.executor_threads,
+                };
+                points.push(
+                    registry::visit(name, &mut cell)
+                        .unwrap_or_else(|| panic!("unknown workload {name:?}")),
+                );
             }
         }
     }
@@ -618,7 +597,7 @@ mod tests {
 
     #[test]
     fn unpaced_point_has_throughput_but_no_latency() {
-        let p = run_one::<VbWorkload>(ChannelMode::PerEdge, 2, 30, 3, 0, true, true, None);
+        let p = run_one::<VbWorkload>(2, 30, 3, 0, true, true, Some(2));
         assert_eq!(p.spec_ok, Some(true));
         assert!(p.throughput_eps > 0.0);
         assert!(p.latency.is_none());
@@ -630,7 +609,7 @@ mod tests {
         let json = p.to_json().render();
         assert!(json.contains("\"max_queue_depth\"") && json.contains("\"stalls\""));
         // …and a metrics-off run omits them, staying legacy-shaped.
-        let off = run_one::<VbWorkload>(ChannelMode::PerEdge, 2, 30, 3, 0, false, false, None);
+        let off = run_one::<VbWorkload>(2, 30, 3, 0, false, false, None);
         assert!(off.max_queue_depth.is_none() && off.stalls.is_none());
         let off_json = off.to_json().render();
         assert!(!off_json.contains("max_queue_depth") && !off_json.contains("\"stalls\""));
@@ -639,9 +618,9 @@ mod tests {
     #[test]
     fn paced_point_has_latency_percentiles() {
         // 90 ticks at 1M events/sec/stream: fast but paced.
-        let p = run_one::<VbWorkload>(ChannelMode::Ticketed, 2, 30, 3, 1_000_000, true, true, None);
+        let p = run_one::<VbWorkload>(2, 30, 3, 1_000_000, true, true, Some(1));
         assert_eq!(p.spec_ok, Some(true));
-        assert_eq!(p.channel_mode, "ticketed");
+        assert_eq!(p.channel_mode, "per-edge");
         let lat = p.latency.expect("paced run must sample latency");
         assert_eq!(lat.samples, p.outputs);
         assert!(lat.p50 <= lat.p95 && lat.p95 <= lat.p99 && lat.p99 <= lat.max);
@@ -653,19 +632,18 @@ mod tests {
             workloads: registry::default_sweep_names(),
             workers: vec![1, 2],
             rates: vec![0],
-            modes: vec![ChannelMode::Ticketed, ChannelMode::PerEdge, ChannelMode::PerEdgeMutex],
             per_window: 20,
             windows: 2,
             check_spec: true,
             metrics: true,
-            executor_threads: None,
+            executor_threads: Some(1),
         };
         let n_workloads = spec.workloads.len();
         let points = sweep(&spec);
         assert_eq!(
             points.len(),
-            3 * 2 * n_workloads,
-            "3 modes × 2 worker counts × 1 rate × {n_workloads} workloads"
+            2 * n_workloads,
+            "2 worker counts × 1 rate × {n_workloads} workloads"
         );
         assert!(points.iter().all(|p| p.spec_ok == Some(true)));
         let table = render_table(&points);
@@ -673,23 +651,20 @@ mod tests {
         assert!(table.contains("page-view"));
         assert!(table.contains("fraud-detection"));
         assert!(table.contains("page-view-forest"));
-        assert!(
-            table.contains("per-edge-ring")
-                && table.contains(" per-edge |")
-                && table.contains("ticketed")
-        );
+        // One shard: every cell ran on the mutex storage.
+        assert!(table.contains(" per-edge |") && !table.contains("per-edge-ring"));
     }
 
     /// A sweep can select any registry workload by name — including the
-    /// case studies outside the default quartet — and an `Auto` mode
-    /// request records the concrete plane this host resolved to.
+    /// case studies outside the default quartet — and a default-executor
+    /// cell records whichever edge storage this host's shard count
+    /// selected.
     #[test]
     fn registry_names_and_auto_mode_resolve() {
         let spec = SweepSpec {
             workloads: vec!["outlier", "smart-home"],
             workers: vec![2],
             rates: vec![0],
-            modes: vec![ChannelMode::Auto],
             per_window: 10,
             windows: 2,
             check_spec: true,
@@ -703,7 +678,7 @@ mod tests {
         for p in &points {
             assert!(
                 p.channel_mode == "per-edge-ring" || p.channel_mode == "per-edge",
-                "Auto must resolve to a concrete per-edge plane, got {}",
+                "cells must name the edge storage, got {}",
                 p.channel_mode
             );
             assert_eq!(p.spec_ok, Some(true));

@@ -129,7 +129,8 @@ pub struct RunInfo {
     /// and callers that do know (CLI, bench) set it on the snapshot
     /// before rendering.
     pub workload: String,
-    /// Resolved channel-mode artifact name (`ticketed`, `per-edge`, ...).
+    /// Artifact name of the edge storage the run used (`per-edge` or
+    /// `per-edge-ring`).
     pub channel_mode: String,
     /// Worker count.
     pub workers: usize,
@@ -706,7 +707,7 @@ mod tests {
     fn small_registry() -> RunMetrics {
         let info = RunInfo {
             workload: "value-barrier".into(),
-            channel_mode: "ticketed".into(),
+            channel_mode: "per-edge-ring".into(),
             workers: 3,
             partitions: 2,
         };

@@ -672,7 +672,6 @@ mod tests {
     use dgs_core::examples::{KcTag, KeyCounter};
     use dgs_core::tag::Tag;
     use dgs_plan::plan::PlanBuilder;
-    use crate::thread_driver::ChannelMode;
 
     fn it(tag: KcTag, s: u32) -> ITag<KcTag> {
         ITag::new(tag, StreamId(s))
@@ -962,7 +961,10 @@ mod tests {
             ..Default::default()
         }));
         let mode = report.timing.expect("timing requested").channel_mode;
-        assert_ne!(mode, ChannelMode::Auto, "reports must name a concrete plane");
+        assert!(
+            mode == "per-edge" || mode == "per-edge-ring",
+            "reports must name the edge storage, got {mode:?}"
+        );
     }
 
     #[test]

@@ -1,0 +1,365 @@
+//! A plan worker as a poll-able task, and what a finished task leaves
+//! behind for the driver.
+
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
+
+use dgs_sync::{Arc, Mutex, TryLockError};
+
+use dgs_core::event::Timestamp;
+use dgs_core::program::DgsProgram;
+use dgs_metrics::{RunMetrics, TraceKind};
+use dgs_plan::plan::WorkerId;
+
+use super::migrate::HoldGate;
+use super::wiring::{send_credited, InFlight, Inbox, Msg, Routes, ThreadMsg};
+use super::RunEffects;
+use crate::worker::{StepEffects, WorkerCore, WorkerMsg};
+
+/// What one scheduling turn of a worker observed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum TaskPoll {
+    /// Inbox empty; the waker will re-enqueue the worker on the next
+    /// publish.
+    Pending,
+    /// Budget exhausted with messages still queued; re-enqueue now.
+    HasMore,
+    /// Shutdown received (or every sender is gone): the worker is done.
+    Done,
+}
+
+/// The run-wide settings every task carries.
+#[derive(Clone)]
+pub(super) struct TaskEnv {
+    pub(super) metrics: Option<Arc<RunMetrics>>,
+    /// [`ThreadRunOptions::pace_ns_per_tick`](super::ThreadRunOptions).
+    pub(super) pace: Option<u64>,
+    pub(super) start: Instant,
+    /// Task tallies flush into the registry every this many messages.
+    pub(super) flush_every: u64,
+}
+
+/// Latency of an output produced at `at`, measured from the *scheduled*
+/// emission time of its triggering event (`start + ts * ns_per_tick`; a
+/// product that overflows is scheduled at `start`).
+pub(super) fn scheduled_latency_ns(
+    start: Instant,
+    ns_per_tick: u64,
+    ts: Timestamp,
+    at: Instant,
+) -> u64 {
+    let scheduled = ns_per_tick.checked_mul(ts).map(Duration::from_nanos).unwrap_or(Duration::ZERO);
+    at.saturating_duration_since(start + scheduled).as_nanos() as u64
+}
+
+/// Virtual timestamp of a message, for trace spans (0 when it carries
+/// none).
+fn msg_ts<T, P, S>(wm: &WorkerMsg<T, P, S>) -> Timestamp {
+    match wm {
+        WorkerMsg::Event(e) => e.ts,
+        WorkerMsg::EventBatch(b) => b.last().map_or(0, |e| e.ts),
+        WorkerMsg::Heartbeat(h) => h.ts,
+        WorkerMsg::JoinRequest { ts, .. } => *ts,
+        WorkerMsg::StateUp { .. } | WorkerMsg::StateDown { .. } => 0,
+    }
+}
+
+/// An output with its triggering timestamp and the wall-clock instant
+/// it was produced.
+pub(super) type Stamped<Out> = (Out, Timestamp, Instant);
+
+type ProtocolMsg<Prog> = WorkerMsg<
+    <Prog as DgsProgram>::Tag,
+    <Prog as DgsProgram>::Payload,
+    <Prog as DgsProgram>::State,
+>;
+
+/// A plan worker as a resumable state machine: the per-message body of
+/// a worker loop, minus the blocking receive. A shard polls it for a
+/// bounded batch; the protocol invariants (watermarked forwarding inside
+/// [`WorkerCore`], surrender-not-panic on dead destinations,
+/// per-partition in-flight accounting) all live here.
+pub(super) struct WorkerTask<Prog>
+where
+    Prog: DgsProgram,
+{
+    /// Global slab index this task occupies. Equal to the worker id for
+    /// the initial plan's workers; a task installed by an elastic replan
+    /// runs a *local* sub-plan id but lives in a freshly allocated slot
+    /// — metrics, traces, and effect counters key on the slot, so two
+    /// generations of a partition never conflate.
+    slot: usize,
+    /// The partition's original root id, stable across replans: every
+    /// checkpoint this task takes is tagged with it, so recovery keys
+    /// a partition's snapshot series by one id for the whole run.
+    cp_root: WorkerId,
+    pub(super) core: WorkerCore<Prog>,
+    inbox: Inbox<Prog>,
+    // Reusable scratch for batched receives: filled by
+    // `Inbox::try_recv_batch`, fully drained within the same `poll`
+    // call (never carries messages across polls).
+    buf: VecDeque<Msg<Prog>>,
+    /// This worker's private edges, indexed by (sub-)plan worker id.
+    routes: Routes<Prog>,
+    in_flight: Arc<InFlight>,
+    env: TaskEnv,
+    // Outputs and checkpoints stay task-local until the task retires
+    // ([`Retired::take`]): nothing on the per-output path is shared.
+    outputs: Vec<Stamped<Prog::Out>>,
+    checkpoints: Vec<(Prog::State, Timestamp)>,
+    // Task-local effect tallies, flushed into the registry every
+    // `flush_every` messages and handed over when the task retires —
+    // per-message atomic RMWs on adjacent slots would put false sharing
+    // on the exact hot path the wallclock benchmarks measure.
+    msgs: u64,
+    updates: u64,
+    joins: u64,
+    forks: u64,
+    /// Installed by the elastic controller while it waits for this
+    /// partition root's hold to engage; signalled (once) from `poll` at
+    /// the step that captures the full state.
+    pub(super) hold_gate: Option<Arc<HoldGate>>,
+}
+
+impl<Prog: DgsProgram> WorkerTask<Prog> {
+    pub(super) fn new(
+        slot: usize,
+        cp_root: WorkerId,
+        core: WorkerCore<Prog>,
+        inbox: Inbox<Prog>,
+        routes: Routes<Prog>,
+        in_flight: Arc<InFlight>,
+        env: TaskEnv,
+    ) -> Self {
+        WorkerTask {
+            slot,
+            cp_root,
+            core,
+            inbox,
+            buf: VecDeque::new(),
+            routes,
+            in_flight,
+            env,
+            outputs: Vec::new(),
+            checkpoints: Vec::new(),
+            msgs: 0,
+            updates: 0,
+            joins: 0,
+            forks: 0,
+            hold_gate: None,
+        }
+    }
+
+    /// Messages this task has handled so far.
+    pub(super) fn msgs(&self) -> u64 {
+        self.msgs
+    }
+
+    /// Drain up to `budget` messages from the inbox, claiming them in
+    /// batches so the per-message channel overhead (one claim-counter
+    /// RMW, one lock round-trip per edge) is paid once per batch.
+    pub(super) fn poll(&mut self, budget: usize) -> TaskPoll {
+        let mut left = budget;
+        while left > 0 {
+            let n = match self.inbox.try_recv_batch(&mut self.buf, left) {
+                // Every sender is gone: teardown is already underway
+                // and nothing more can arrive.
+                Err(_) => return TaskPoll::Done,
+                Ok(0) => return TaskPoll::Pending,
+                Ok(n) => n,
+            };
+            left -= n;
+            while let Some(msg) = self.buf.pop_front() {
+                match msg {
+                    ThreadMsg::Shutdown => {
+                        // Shutdown follows quiescence, so the batch
+                        // should never hold trailing protocol messages
+                        // — but if it does, surrender their in-flight
+                        // credits so quiescence stays reachable.
+                        let trailing = self
+                            .buf
+                            .iter()
+                            .filter(|m| matches!(m, ThreadMsg::Protocol(_)))
+                            .count();
+                        self.in_flight.sub(trailing as u64);
+                        self.buf.clear();
+                        return TaskPoll::Done;
+                    }
+                    ThreadMsg::Protocol(wm) => {
+                        self.step(wm);
+                        if self.hold_gate.is_some() && self.core.is_held() {
+                            // The elastic hold engaged on this step: the
+                            // core holds the partition's full state and
+                            // buffers everything else. Wake the waiting
+                            // controller.
+                            if let Some(g) = self.hold_gate.take() {
+                                g.signal();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        TaskPoll::HasMore
+    }
+
+    /// Run one message through the core and tally what it did. Shared
+    /// by [`step`](Self::step) and the elastic controller's migration
+    /// pump, which handles a replan's backlog on tasks not yet installed.
+    pub(super) fn handle(
+        &mut self,
+        wm: ProtocolMsg<Prog>,
+    ) -> StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out> {
+        self.msgs += 1;
+        let mts = if self.env.metrics.is_some() { msg_ts(&wm) } else { 0 };
+        let fx = self.core.handle(wm);
+        self.updates += fx.updates;
+        self.joins += fx.joins;
+        self.forks += fx.forks;
+        if let Some(m) = &self.env.metrics {
+            if fx.forks > 0 {
+                m.trace(self.slot, TraceKind::Fork, mts);
+            }
+            if fx.joins > 0 {
+                m.trace(self.slot, TraceKind::Join, mts);
+            }
+        }
+        fx
+    }
+
+    /// Handle one protocol message delivered through the inbox.
+    fn step(&mut self, wm: ProtocolMsg<Prog>) {
+        let fx = self.handle(wm);
+        if self.env.metrics.is_some() && self.msgs.is_multiple_of(self.env.flush_every) {
+            self.flush_registry();
+        }
+        self.route_effects(fx);
+        self.in_flight.dec();
+    }
+
+    /// Keep a step's outputs and checkpoints — each output stamped
+    /// here, where it is produced — and return the protocol messages
+    /// the step wants sent.
+    pub(super) fn keep_effects(
+        &mut self,
+        fx: StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
+    ) -> Vec<(WorkerId, ProtocolMsg<Prog>)> {
+        for (o, ts) in fx.outputs {
+            let at = Instant::now();
+            if let Some(m) = &self.env.metrics {
+                m.outputs.inc();
+                if let Some(ns) = self.env.pace {
+                    m.output_latency.record(scheduled_latency_ns(self.env.start, ns, ts, at));
+                }
+            }
+            self.outputs.push((o, ts, at));
+        }
+        for (state, ts) in fx.checkpoints {
+            if let Some(m) = &self.env.metrics {
+                m.trace(self.slot, TraceKind::Checkpoint, ts);
+            }
+            self.checkpoints.push((state, ts));
+        }
+        fx.msgs
+    }
+
+    /// Deliver a step's effects: protocol messages to peers, outputs and
+    /// checkpoints into the task's buffers. Also used by the elastic
+    /// controller when it cancels a hold — the cancellation adopts the
+    /// buffered backlog and its effects must flow exactly like a step's.
+    pub(super) fn route_effects(
+        &mut self,
+        fx: StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
+    ) {
+        // Route in destination runs: consecutive messages to one worker
+        // travel as one batched enqueue (one credit publish, one
+        // wakeup). Order per edge is preserved; that is the only order
+        // the protocol needs.
+        let mut iter = self.keep_effects(fx).into_iter().peekable();
+        while let Some((dst, m)) = iter.next() {
+            let mut run = vec![ThreadMsg::Protocol(m)];
+            while let Some((_, m2)) = iter.next_if(|(d2, _)| *d2 == dst) {
+                run.push(ThreadMsg::Protocol(m2));
+            }
+            let Some(tx) = self.routes[dst.0].as_ref() else {
+                panic!("no edge to worker {dst}: plan routing bug");
+            };
+            send_credited(&self.in_flight, tx, run.into_iter());
+        }
+    }
+
+    /// Publish the task-local tallies and the inbox depth (sampled at
+    /// the same point the worker drains it) into the registry.
+    fn flush_registry(&self) {
+        if let Some(m) = &self.env.metrics {
+            let wm = &m.workers[self.slot];
+            wm.msgs.set(self.msgs);
+            wm.updates.set(self.updates);
+            wm.joins.set(self.joins);
+            wm.forks.set(self.forks);
+            let depth = self.inbox.len() as u64;
+            wm.queue_depth.set(depth);
+            wm.queue_depth_max.ratchet(depth);
+        }
+    }
+}
+
+/// The task slab: one slot per worker, locked while a shard polls it.
+/// The mutex is what preserves the single-consumer inbox contract
+/// across work stealing — a worker migrates between shards, but at most
+/// one shard ever drains it at a time. `None` after the task finishes
+/// (the drop releases its inbox, so lingering senders fail fast).
+pub(super) type TaskSlab<Prog> = Vec<Mutex<Option<WorkerTask<Prog>>>>;
+
+/// Drop every task a slot lock can be had for. Dropping a task drops
+/// its inbox, so senders blocked on it (bounded ingress edges) observe
+/// the disconnect and surrender instead of deadlocking teardown.
+pub(super) fn drop_all_tasks<Prog: DgsProgram>(tasks: &TaskSlab<Prog>) {
+    for slot in tasks {
+        match slot.try_lock() {
+            Ok(mut g) => drop(g.take()),
+            Err(TryLockError::Poisoned(p)) => drop(p.into_inner().take()),
+            // Held by a shard that is still polling it; that shard
+            // drops the task in its own teardown sweep.
+            Err(TryLockError::WouldBlock) => {}
+        }
+    }
+}
+
+/// What retired tasks leave behind, read by the driver once every
+/// thread of the run has joined. A task retires exactly once — when a
+/// shard sees it `Done`, or when the elastic controller replaces its
+/// partition — and each slot hosts exactly one task generation, so
+/// per-slot counters never conflate.
+pub(super) struct Retired<Prog: DgsProgram> {
+    pub(super) effects: RunEffects,
+    /// One buffer per retired task, moved in whole.
+    pub(super) outputs: Vec<Vec<Stamped<Prog::Out>>>,
+    /// Root-tagged checkpoints. A partition's root is the only task of
+    /// its generation that checkpoints, and generations retire in
+    /// order, so per-root order is trigger-timestamp order even across
+    /// replans.
+    pub(super) checkpoints: Vec<(WorkerId, Prog::State, Timestamp)>,
+}
+
+impl<Prog: DgsProgram> Retired<Prog> {
+    pub(super) fn new(slots: usize) -> Self {
+        Retired { effects: RunEffects::zeroed(slots), outputs: Vec::new(), checkpoints: Vec::new() }
+    }
+
+    /// Retire `task`: final registry flush, effect counters, and its
+    /// output and checkpoint buffers. Dropping the task drops its
+    /// inbox, so senders to a retired worker fail fast and surrender.
+    pub(super) fn take(&mut self, task: WorkerTask<Prog>) {
+        task.flush_registry();
+        self.effects.msgs[task.slot] = task.msgs;
+        self.effects.updates[task.slot] = task.updates;
+        self.effects.joins[task.slot] = task.joins;
+        self.effects.forks[task.slot] = task.forks;
+        if !task.outputs.is_empty() {
+            self.outputs.push(task.outputs);
+        }
+        let root = task.cp_root;
+        self.checkpoints.extend(task.checkpoints.into_iter().map(|(s, ts)| (root, s, ts)));
+    }
+}

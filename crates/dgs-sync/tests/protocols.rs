@@ -297,7 +297,7 @@ fn pop_vs_park_unfenced_leans_on_the_timeout() {
 
 // ---------------------------------------------------------------------
 // 4. Steal-time shard reassignment vs scheduled-flag dedup
-//    (dgs-runtime thread_driver::Sched::wake / shard drain)
+//    (dgs-runtime thread_driver::executor: Scheduler::wake / shard drain)
 // ---------------------------------------------------------------------
 
 /// Publishers bump a pending counter then enqueue the worker unless its

@@ -77,4 +77,4 @@ pub use dgs_runtime::recovery::{
 };
 pub use dgs_runtime::sim_driver::SimConfig;
 pub use dgs_runtime::source::ScheduledStream;
-pub use dgs_runtime::thread_driver::{ChannelMode, RunEffects, RunTiming, ThreadRunOptions};
+pub use dgs_runtime::thread_driver::{RunEffects, RunTiming, ThreadRunOptions};

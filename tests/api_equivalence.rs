@@ -3,7 +3,7 @@
 //! `Job` derives from the streams alone is structurally identical to
 //! the plan the app builds by hand (`ITagInfo`s + `CommMinOptimizer`),
 //! and Job-driven runs produce the same output multiset as the manual
-//! `run_threads` invocation — on every channel mode, on the simulator
+//! `run_threads` invocation — on both edge storages, on the simulator
 //! backend, and on the durable-checkpoint column (threads +
 //! `with_checkpoint_dir`, reopened through a fresh store) — all equal
 //! to the sequential specification.
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use flumina::api::{Backend, ChannelMode, CheckpointStore as _, Job, ThreadRunOptions};
+use flumina::api::{Backend, CheckpointStore as _, Job, ThreadRunOptions};
 use flumina::apps::fraud::FdWorkload;
 use flumina::apps::outlier::OdWorkload;
 use flumina::apps::page_view::PvWorkload;
@@ -40,8 +40,8 @@ fn multiset<O: std::fmt::Debug, T>(outputs: &[(O, T)]) -> Vec<String> {
 }
 
 /// The acceptance property, per workload: identical plans, and
-/// Job-path == manual-path == spec output multisets across all channel
-/// modes plus the simulator backend.
+/// Job-path == manual-path == spec output multisets across both edge
+/// storages plus the simulator backend.
 fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u64) {
     let w = W::for_scale(workers, per_window, windows);
     let hb = (per_window / 10).max(1);
@@ -58,35 +58,32 @@ fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u
         manual_plan.render()
     );
 
-    // 2. Output equivalence on threads, every delivery plane (Auto
-    //    resolves to one of them; included to pin the default path too).
+    // 2. Output equivalence on threads, on both edge storages: mutex
+    //    deques on one shard, rings above.
     let spec = job.run(Backend::Spec).output_multiset();
-    for mode in [
-        ChannelMode::Auto,
-        ChannelMode::PerEdge,
-        ChannelMode::PerEdgeMutex,
-        ChannelMode::Ticketed,
-    ] {
-        let manual = run_threads(
-            Arc::new(w.program()),
-            &manual_plan,
-            w.streams(hb),
-            ThreadRunOptions { channel_mode: mode, ..Default::default() },
-        );
+    for threads in [1usize, 2, 4] {
+        let options = || ThreadRunOptions {
+            executor_threads: Some(threads),
+            record_timing: true,
+            ..Default::default()
+        };
+        // A plan narrower than `threads` clamps the shard count.
+        let storage =
+            if threads.min(manual_plan.len()) == 1 { "per-edge" } else { "per-edge-ring" };
+        let manual = run_threads(Arc::new(w.program()), &manual_plan, w.streams(hb), options());
+        assert_eq!(manual.timing.expect("timing requested").channel_mode, storage);
         assert_eq!(
             multiset(&manual.outputs),
             spec,
-            "{} [{mode:?}]: manual run_threads path diverged from spec",
+            "{} [{storage}, {threads} shard(s)]: manual run_threads path diverged from spec",
             W::NAME
         );
-        let report = job.run(Backend::Threads(ThreadRunOptions {
-            channel_mode: mode,
-            ..Default::default()
-        }));
+        let report = job.run(Backend::Threads(options()));
+        assert_eq!(report.timing.as_ref().expect("timing requested").channel_mode, storage);
         assert_eq!(
             report.output_multiset(),
             spec,
-            "{} [{mode:?}]: Job thread backend diverged from spec",
+            "{} [{storage}, {threads} shard(s)]: Job thread backend diverged from spec",
             W::NAME
         );
     }

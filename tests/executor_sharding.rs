@@ -1,15 +1,15 @@
 //! The sharded executor is behaviorally invisible: N event-loop
 //! threads multiplexing every plan worker produce exactly the
 //! sequential-spec output multiset (Theorem 3.5) that thread-per-worker
-//! did — for every registry workload, executor-thread count, and
-//! delivery plane — while keeping the process's OS thread count
+//! did — for every registry workload and executor-thread count, on
+//! both edge storages — while keeping the process's OS thread count
 //! O(executor_threads) even for thousand-root forests, and preserving
 //! per-partition quiescence and root-checkpoint purity under worker
 //! migration (work stealing moves workers between shards mid-run).
 
 use std::sync::Mutex;
 
-use flumina::api::{Backend, ChannelMode, Job, ThreadRunOptions};
+use flumina::api::{Backend, Job, ThreadRunOptions};
 use flumina::apps::registry::{self, WorkloadVisitor};
 use flumina::apps::sweep::{PvForestWorkload, SweepWorkload};
 
@@ -27,12 +27,12 @@ fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
 }
 
-/// One grid cell: run the workload on `threads` executor threads under
-/// `mode` and require the spec multiset plus a truthful
-/// `RunTiming::executor_threads` (clamped to the worker count).
+/// One grid cell: run the workload on `threads` executor threads and
+/// require the spec multiset plus a truthful `RunTiming`: the shard
+/// count clamped to the worker count, and the edge storage that count
+/// selects (mutex deques on one shard, rings above).
 struct ShardCell {
     threads: usize,
-    mode: ChannelMode,
 }
 
 impl WorkloadVisitor for ShardCell {
@@ -43,7 +43,6 @@ impl WorkloadVisitor for ShardCell {
         let job = w.job(3);
         let spec = job.run(Backend::Spec).output_multiset();
         let report = job.run(Backend::Threads(ThreadRunOptions {
-            channel_mode: self.mode,
             executor_threads: Some(self.threads),
             record_timing: true,
             ..Default::default()
@@ -51,35 +50,38 @@ impl WorkloadVisitor for ShardCell {
         assert_eq!(
             report.output_multiset(),
             spec,
-            "{} [{:?} x{}]: sharded run diverged from the sequential spec",
+            "{} [x{}]: sharded run diverged from the sequential spec",
             W::NAME,
-            self.mode,
             self.threads
         );
         let timing = report.timing.as_ref().expect("timing was requested");
+        let shards = self.threads.min(report.plan.len());
         assert_eq!(
             timing.executor_threads,
-            self.threads.min(report.plan.len()),
+            shards,
             "{}: effective shard count must be clamped to the worker count",
             W::NAME
+        );
+        assert_eq!(
+            timing.channel_mode,
+            if shards == 1 { "per-edge" } else { "per-edge-ring" },
+            "{} [x{}]: edge storage must follow the shard count",
+            W::NAME,
+            self.threads
         );
     }
 }
 
 /// Theorem 3.5 across the whole grid: every registry workload ×
-/// {1, 2, 8} executor threads × every concrete delivery plane.
+/// {1, 2, 4, 8} executor threads, which covers both edge storages.
 #[test]
 fn all_workloads_match_spec_across_shard_counts_and_modes() {
     let _guard = serial();
     for name in registry::names() {
-        for threads in [1usize, 2, 8] {
-            for mode in
-                [ChannelMode::PerEdge, ChannelMode::PerEdgeMutex, ChannelMode::Ticketed]
-            {
-                let mut cell = ShardCell { threads, mode };
-                registry::visit(name, &mut cell)
-                    .unwrap_or_else(|| panic!("unknown workload {name:?}"));
-            }
+        for threads in [1usize, 2, 4, 8] {
+            let mut cell = ShardCell { threads };
+            registry::visit(name, &mut cell)
+                .unwrap_or_else(|| panic!("unknown workload {name:?}"));
         }
     }
 }

@@ -26,7 +26,7 @@ use flumina::plan::plan::{Location, Plan, PlanBuilder};
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::sim_driver::{build_sim, SimConfig};
 use flumina::runtime::source::{item_lists, PacedSource};
-use flumina::runtime::thread_driver::{run_threads, ChannelMode, ThreadRunOptions};
+use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 use flumina::sim::{LinkSpec, Topology};
 
 fn pv_workload() -> PvWorkload {
@@ -138,7 +138,8 @@ fn former_coordinator_performs_zero_joins_and_forest_drops_it() {
 }
 
 /// Sequential-spec equivalence of the multi-root page-view plan on real
-/// threads, under every delivery plane.
+/// threads, on both edge storages (mutex deques on one shard, rings
+/// above).
 #[test]
 fn forest_matches_spec_on_threads_all_channel_modes() {
     let w = pv_workload();
@@ -149,13 +150,19 @@ fn forest_matches_spec_on_threads_all_channel_modes() {
         s.sort();
         s
     };
-    for mode in [ChannelMode::PerEdge, ChannelMode::PerEdgeMutex, ChannelMode::Ticketed] {
+    for threads in [1usize, 2, 4] {
         let result = run_threads(
             Arc::new(PageViewJoin),
             &forest,
             w.scheduled_streams(6),
-            ThreadRunOptions { channel_mode: mode, ..Default::default() },
+            ThreadRunOptions {
+                executor_threads: Some(threads),
+                record_timing: true,
+                ..Default::default()
+            },
         );
+        let mode = result.timing.as_ref().expect("timing requested").channel_mode;
+        assert_eq!(mode, if threads == 1 { "per-edge" } else { "per-edge-ring" });
         let mut got: Vec<_> = result.outputs.iter().map(|(o, _)| *o).collect();
         got.sort();
         assert_eq!(got, spec, "mode {mode:?} diverged from the sequential spec");

@@ -1,11 +1,11 @@
 //! Facade-level smoke test of the wall-clock benchmarking subsystem.
 //!
 //! Runs a miniature wall-clock sweep — the three paper workloads, two
-//! worker counts, one unpaced and one paced rate — end to end through
-//! `dgs_bench::wallclock`, with spec checking on: every run's output
-//! multiset must equal the sequential specification (Theorem 3.5 must
-//! keep holding under the sharded channel stand-in and the condvar
-//! termination protocol this subsystem leans on). Also checks that the
+//! worker counts, one unpaced and one paced rate, on both edge storages
+//! — end to end through `dgs_bench::wallclock`, with spec checking on:
+//! every run's output multiset must equal the sequential specification
+//! (Theorem 3.5 must keep holding under the per-edge message plane and
+//! the condvar termination protocol this subsystem leans on). Also checks that the
 //! sweep's JSON serialization round-trips through the trajectory parser
 //! and validator, i.e. what CI captures is what the schema promises.
 
@@ -13,27 +13,29 @@ use dgs_bench::recovery::{self, RecoverySpec};
 use dgs_bench::report::{self, Json};
 use dgs_bench::wallclock::{self, SweepSpec};
 use flumina::apps::registry;
-use flumina::runtime::thread_driver::ChannelMode;
 
 #[test]
 fn miniature_wallclock_sweep_matches_sequential_spec() {
-    let spec = SweepSpec {
-        workloads: registry::default_sweep_names(),
-        workers: vec![1, 3],
-        rates: vec![0, 500_000],
-        modes: vec![ChannelMode::PerEdge, ChannelMode::PerEdgeMutex, ChannelMode::Ticketed],
-        per_window: 25,
-        windows: 4,
-        check_spec: true,
-        metrics: true,
-        executor_threads: None,
-    };
-    let n_workloads = spec.workloads.len();
-    let points = wallclock::sweep(&spec);
+    let mut points = Vec::new();
+    let mut n_workloads = 0;
+    for threads in [1usize, 2, 4] {
+        let spec = SweepSpec {
+            workloads: registry::default_sweep_names(),
+            workers: vec![1, 3],
+            rates: vec![0, 500_000],
+            per_window: 25,
+            windows: 4,
+            check_spec: true,
+            metrics: true,
+            executor_threads: Some(threads),
+        };
+        n_workloads = spec.workloads.len();
+        points.extend(wallclock::sweep(&spec));
+    }
     assert_eq!(
         points.len(),
-        n_workloads * 3 * 2 * 2,
-        "modes × workloads × workers × rates"
+        3 * n_workloads * 2 * 2,
+        "executor threads × workloads × workers × rates"
     );
 
     for p in &points {
@@ -47,6 +49,9 @@ fn miniature_wallclock_sweep_matches_sequential_spec() {
             p.workers,
             p.rate_eps
         );
+        // The storage follows the effective shard count each cell records.
+        let storage = if p.executor_threads == Some(1) { "per-edge" } else { "per-edge-ring" };
+        assert_eq!(p.channel_mode, storage, "{} x{:?}", p.workload, p.executor_threads);
         assert!(p.events > 0 && p.elapsed_ns > 0 && p.throughput_eps > 0.0);
         assert!(
             p.worker_msgs.iter().sum::<u64>() as f64 >= p.events as f64,
@@ -99,7 +104,6 @@ fn miniature_recovery_sweep_loses_nothing_and_serializes() {
         workloads: vec!["value-barrier"],
         workers: vec![1],
         rates: vec![0],
-        modes: vec![ChannelMode::PerEdge],
         per_window: 20,
         windows: 2,
         check_spec: true,
