@@ -9,13 +9,19 @@
 //! this module keys the snapshots by partition root and rebuilds the
 //! input suffix needed to resume a partition after a crash.
 //!
-//! Storage is behind the [`CheckpointStore`] trait with two backends:
-//! [`MemoryStore`] here (snapshots die with the process — the original
-//! PR 4 behaviour, still what the simulator and most tests want) and
+//! Storage is one API, the [`CheckpointStore`] trait, over two backends:
+//! [`MemoryStore`] here (snapshots die with the process; it is also the
+//! read-side image inside the durable backend) and
 //! [`crate::durable::DurableStore`] (append-only segment files + a
-//! manifest, surviving real crashes). The trait's `record` is fallible
-//! because the durable backend can hit the disk — or a deterministically
-//! injected fault ([`crate::durable::FaultPlan`]) — at any append.
+//! manifest, surviving real crashes). Neither backend has a second set
+//! of read/append methods beside the trait's, so a test, the recovery
+//! orchestrator and [`RunReport::persist_checkpoints`] all read the same
+//! names. `record` is fallible because the durable backend can hit the
+//! disk — or a deterministically injected fault
+//! ([`crate::durable::FaultPlan`]) — at any append;
+//! [`CheckpointStore::extend`] stops at the first such error.
+//!
+//! [`RunReport::persist_checkpoints`]: crate::job::RunReport::persist_checkpoints
 
 use std::collections::BTreeMap;
 
@@ -73,9 +79,9 @@ pub trait CheckpointStore<S> {
 }
 
 /// The in-memory checkpoint store backend, keyed by the partition root
-/// that took each snapshot. Infallible: the inherent methods mirror the
-/// [`CheckpointStore`] trait without the `Result` wrapper, and in-process
-/// recovery paths call those directly.
+/// that took each snapshot. Its whole API is the [`CheckpointStore`]
+/// impl below (bring the trait into scope to use it); `record` never
+/// fails here, it returns `Result` only because the trait does.
 #[derive(Clone, Debug)]
 pub struct MemoryStore<S> {
     snaps: BTreeMap<WorkerId, Vec<(S, Timestamp)>>,
@@ -92,73 +98,29 @@ impl<S> MemoryStore<S> {
     pub fn new() -> Self {
         MemoryStore { snaps: BTreeMap::new() }
     }
-
-    /// Record a snapshot taken by partition root `root` at the given
-    /// trigger timestamp. Per-root trigger timestamps are monotone;
-    /// cross-root interleaving is arbitrary (partitions are independent).
-    pub fn record(&mut self, root: WorkerId, state: S, ts: Timestamp) {
-        let snaps = self.snaps.entry(root).or_default();
-        debug_assert!(snaps.last().is_none_or(|(_, t)| *t <= ts));
-        snaps.push((state, ts));
-    }
-
-    /// Absorb the (root-tagged) checkpoints of a finished run.
-    pub fn extend(&mut self, cps: impl IntoIterator<Item = (WorkerId, S, Timestamp)>) {
-        for (root, s, t) in cps {
-            self.record(root, s, t);
-        }
-    }
-
-    /// Latest snapshot of partition `root`, if any.
-    pub fn latest(&self, root: WorkerId) -> Option<&(S, Timestamp)> {
-        self.snaps.get(&root).and_then(|v| v.last())
-    }
-
-    /// The k-th (0-based) snapshot of partition `root`, if taken.
-    pub fn nth(&self, root: WorkerId, k: usize) -> Option<&(S, Timestamp)> {
-        self.snaps.get(&root).and_then(|v| v.get(k))
-    }
-
-    /// Partition roots with at least one snapshot.
-    pub fn roots(&self) -> impl Iterator<Item = WorkerId> + '_ {
-        self.snaps.keys().copied()
-    }
-
-    /// Snapshots of one partition, in trigger order.
-    pub fn of_root(&self, root: WorkerId) -> &[(S, Timestamp)] {
-        self.snaps.get(&root).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total number of snapshots across all partitions.
-    pub fn len(&self) -> usize {
-        self.snaps.values().map(Vec::len).sum()
-    }
-
-    /// True if no snapshot was taken anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<S> CheckpointStore<S> for MemoryStore<S> {
     fn record(&mut self, root: WorkerId, state: S, ts: Timestamp) -> Result<(), StoreError> {
-        MemoryStore::record(self, root, state, ts);
+        let snaps = self.snaps.entry(root).or_default();
+        debug_assert!(snaps.last().is_none_or(|(_, t)| *t <= ts));
+        snaps.push((state, ts));
         Ok(())
     }
     fn latest(&self, root: WorkerId) -> Option<&(S, Timestamp)> {
-        MemoryStore::latest(self, root)
+        self.snaps.get(&root).and_then(|v| v.last())
     }
     fn nth(&self, root: WorkerId, k: usize) -> Option<&(S, Timestamp)> {
-        MemoryStore::nth(self, root, k)
+        self.snaps.get(&root).and_then(|v| v.get(k))
     }
     fn of_root(&self, root: WorkerId) -> &[(S, Timestamp)] {
-        MemoryStore::of_root(self, root)
+        self.snaps.get(&root).map(Vec::as_slice).unwrap_or(&[])
     }
     fn roots(&self) -> Vec<WorkerId> {
-        MemoryStore::roots(self).collect()
+        self.snaps.keys().copied().collect()
     }
     fn len(&self) -> usize {
-        MemoryStore::len(self)
+        self.snaps.values().map(Vec::len).sum()
     }
 }
 
@@ -199,18 +161,18 @@ mod tests {
     fn store_orders_and_returns_latest_per_root() {
         let mut store = MemoryStore::new();
         assert!(store.is_empty());
-        store.record(R0, 10i64, 5);
-        store.record(R0, 20i64, 9);
+        store.record(R0, 10i64, 5).unwrap();
+        store.record(R0, 20i64, 9).unwrap();
         // An independent partition's snapshots interleave with earlier
         // timestamps — legal, they are separate sequences.
-        store.record(R3, 7i64, 2);
+        store.record(R3, 7i64, 2).unwrap();
         assert_eq!(store.len(), 3);
         assert_eq!(store.latest(R0), Some(&(20, 9)));
         assert_eq!(store.latest(R3), Some(&(7, 2)));
         assert_eq!(store.nth(R0, 0), Some(&(10, 5)));
         assert_eq!(store.nth(R0, 5), None);
         assert_eq!(store.latest(WorkerId(9)), None);
-        assert_eq!(store.roots().collect::<Vec<_>>(), vec![R0, R3]);
+        assert_eq!(store.roots(), vec![R0, R3]);
         assert_eq!(store.of_root(R0).len(), 2);
         assert!(store.of_root(WorkerId(9)).is_empty());
     }
@@ -218,7 +180,7 @@ mod tests {
     #[test]
     fn extend_appends_in_order() {
         let mut store = MemoryStore::new();
-        store.extend([(R0, 1i64, 1u64), (R0, 2, 2), (R3, 5, 1)]);
+        store.extend([(R0, 1i64, 1u64), (R0, 2, 2), (R3, 5, 1)]).unwrap();
         assert_eq!(store.latest(R0), Some(&(2, 2)));
         assert_eq!(store.latest(R3), Some(&(5, 1)));
     }

@@ -297,7 +297,7 @@ impl<S: StateCodec + Clone> DurableStore<S> {
             }
             report.records += scan.records.len();
             for (ts, state) in &scan.records {
-                mirror.record(root, state.clone(), *ts);
+                mirror.record(root, state.clone(), *ts)?;
             }
             let file = OpenOptions::new()
                 .append(true)
@@ -362,17 +362,6 @@ impl<S: StateCodec + Clone> DurableStore<S> {
         let stale_lag = 1 + xorshift64(&mut s) % 3;
         self.faults = Some(ScopedFaults { plan, root, appends: 0, stale_lag });
         self
-    }
-
-    /// Directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The in-memory image of everything durable (all trait reads are
-    /// served from it).
-    pub fn mirror(&self) -> &MemoryStore<S> {
-        &self.mirror
     }
 
     /// What [`DurableStore::open`] found and repaired.
@@ -465,7 +454,7 @@ impl<S: StateCodec + Clone> DurableStore<S> {
         if kind == KIND_FULL {
             part.last_full = Some(state.clone());
         }
-        self.mirror.record(root, state, ts);
+        self.mirror.record(root, state, ts)?;
         // Fault bookkeeping: the N-th scoped append is durable, *then*
         // the writer dies, leaving the planned wreckage behind.
         let mut crash_now = false;
@@ -643,7 +632,7 @@ impl<S: StateCodec + Clone> CheckpointStore<S> for DurableStore<S> {
         self.mirror.of_root(root)
     }
     fn roots(&self) -> Vec<WorkerId> {
-        self.mirror.roots().collect()
+        self.mirror.roots()
     }
     fn len(&self) -> usize {
         self.mirror.len()
@@ -796,15 +785,16 @@ fn scan_segment<S: StateCodec + Clone>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dgs_sync::atomic::{AtomicU64, Ordering};
 
     const R0: WorkerId = WorkerId(0);
     const R1: WorkerId = WorkerId(1);
 
-    /// Fresh scratch dir per test (no tempfile crate in the image).
-    fn scratch(name: &str) -> PathBuf {
+    /// Fresh scratch dir per test (no tempfile crate in the image);
+    /// shared with the other checkpoint-plane unit tests in this crate.
+    pub(crate) fn scratch(name: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "flumina-durable-{}-{}-{}",

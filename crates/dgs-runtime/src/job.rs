@@ -25,6 +25,12 @@
 //! returns the same [`RunReport`], so "the parallel run matches the
 //! spec" (Theorem 3.5) is a one-liner: [`Job::verify_against_spec`].
 //!
+//! A run never touches the disk. Root-join snapshots
+//! ([`Job::checkpoint_roots`]) come back in [`RunReport::checkpoints`];
+//! making them crash-durable is a separate, fallible step *after* the
+//! run — [`RunReport::persist_checkpoints`] — so a storage failure is a
+//! [`StoreError`] the caller handles, not a panic inside `run`.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use dgs_core::event::{StreamId, Timestamp};
@@ -55,7 +61,7 @@
 //! `tests/api_equivalence.rs`.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use dgs_core::codec::StateCodec;
@@ -162,10 +168,12 @@ pub struct RunReport<P: DgsProgram> {
     /// Engine statistics — [`Backend::Sim`] only.
     pub sim: Option<SimStats>,
     /// Full metrics snapshot — [`Backend::Threads`] unless
-    /// `ThreadRunOptions::metrics` was disabled. Taken *after* checkpoint
-    /// persistence, so the store's append/fsync counters are included.
-    /// The `workload` label starts empty (the driver does not know it);
-    /// callers that do may fill it in before rendering.
+    /// `ThreadRunOptions::metrics` was disabled. Taken when the backend
+    /// returns; its `store` section is all zeros until
+    /// [`RunReport::persist_checkpoints`] fills in that call's
+    /// append/fsync/repair tallies. The `workload` label starts empty
+    /// (the driver does not know it); callers that do may fill it in
+    /// before rendering.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -193,6 +201,30 @@ impl<P: DgsProgram> RunReport<P> {
         let mut v: Vec<String> = self.outputs.iter().map(|(o, _)| format!("{o:?}")).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Append this run's root-tagged checkpoints, in the order they were
+    /// taken, to the [`DurableStore`] at `dir` (created if absent) and
+    /// return how many were written. The store's tallies for this call
+    /// (appends, fsync latency, bytes repaired at open, manifest
+    /// fallback) become the `store` section of [`RunReport::metrics`].
+    ///
+    /// Errors are values: the directory failing to open (corrupt
+    /// manifest, unreadable segment), an I/O failure, or — since per-root
+    /// checkpoint timestamps are monotone within one history — a
+    /// directory that already holds a later history
+    /// ([`StoreError::Corrupt`]; use a fresh directory per run).
+    pub fn persist_checkpoints(&mut self, dir: impl AsRef<Path>) -> Result<usize, StoreError>
+    where
+        P::State: StateCodec,
+    {
+        let sink = Arc::new(StoreMetrics::default());
+        let mut store = DurableStore::open(dir.as_ref())?.with_metrics(sink.clone());
+        store.extend(self.checkpoints.iter().cloned())?;
+        if let Some(m) = &mut self.metrics {
+            m.store = sink.snapshot();
+        }
+        Ok(self.checkpoints.len())
     }
 }
 
@@ -230,15 +262,6 @@ impl std::fmt::Display for SpecMismatch {
 
 impl std::error::Error for SpecMismatch {}
 
-/// A monomorphized checkpoint-persistence hook: writes a run's
-/// checkpoints under a directory (recording append/fsync work into the
-/// metrics sink, when one exists) and reports how many records landed.
-type PersistFn<P> = fn(
-    &Path,
-    &[(WorkerId, <P as DgsProgram>::State, Timestamp)],
-    Option<Arc<StoreMetrics>>,
-) -> Result<u64, StoreError>;
-
 /// A DGS program plus its workload, with everything else derived — see
 /// the [module docs](self) for the full tour.
 ///
@@ -254,11 +277,6 @@ pub struct Job<P: DgsProgram> {
     place_overrides: BTreeMap<ITag<P::Tag>, Location>,
     initial_state: Option<P::State>,
     checkpoint_roots: bool,
-    checkpoint_dir: Option<PathBuf>,
-    /// Monomorphized at the [`Job::with_checkpoint_dir`] call site (the
-    /// only place a `StateCodec` bound exists), so `run()` can persist
-    /// without imposing the bound on every job.
-    persist: Option<PersistFn<P>>,
     sim_ns_per_tick: u64,
     /// Derived-plan / derived-infos caches: the optimizer and the
     /// per-stream schedule scans run once per builder configuration,
@@ -296,8 +314,6 @@ impl<P: DgsProgram> Job<P> {
             place_overrides: BTreeMap::new(),
             initial_state: None,
             checkpoint_roots: false,
-            checkpoint_dir: None,
-            persist: None,
             sim_ns_per_tick: 1_000,
             plan_cache: std::sync::OnceLock::new(),
             infos_cache: std::sync::OnceLock::new(),
@@ -347,49 +363,11 @@ impl<P: DgsProgram> Job<P> {
     }
 
     /// Snapshot each partition root's state at its joins (Appendix D.2),
-    /// on every backend.
+    /// on every backend; [`RunReport::persist_checkpoints`] makes the
+    /// returned snapshots durable.
     pub fn checkpoint_roots(mut self, enable: bool) -> Self {
         self.checkpoint_roots = enable;
         self
-    }
-
-    /// Persist every checkpoint this job takes into a [`DurableStore`]
-    /// rooted at `dir` (created if absent; appends accumulate across
-    /// runs). Implies [`Job::checkpoint_roots`]`(true)`. After a crash,
-    /// [`Job::recover_checkpoints`] reads them back from disk alone.
-    ///
-    /// Persistence happens after the backend completes; a storage
-    /// failure there panics — the front door has no fallible `run`, and
-    /// a half-persisted checkpoint directory must not pass silently.
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self
-    where
-        P::State: StateCodec,
-    {
-        self.checkpoint_dir = Some(dir.into());
-        self.persist = Some(persist_checkpoints::<P::State>);
-        self.checkpoint_roots = true;
-        self
-    }
-
-    /// The durable checkpoint directory, if configured.
-    pub fn checkpoint_dir(&self) -> Option<&Path> {
-        self.checkpoint_dir.as_deref()
-    }
-
-    /// Reopen this job's checkpoint directory from disk — everything
-    /// previous runs persisted, via a fresh [`DurableStore`] (segments
-    /// are scanned and verified; torn tails repaired).
-    ///
-    /// Panics if [`Job::with_checkpoint_dir`] was never called.
-    pub fn recover_checkpoints(&self) -> Result<DurableStore<P::State>, StoreError>
-    where
-        P::State: StateCodec,
-    {
-        let dir = self
-            .checkpoint_dir
-            .as_ref()
-            .expect("recover_checkpoints requires with_checkpoint_dir");
-        DurableStore::open(dir)
     }
 
     /// Virtual nanoseconds one schedule tick maps to on the
@@ -495,18 +473,13 @@ where
     /// Execute on the given backend and return the unified report.
     pub fn run(&self, backend: Backend<P::State>) -> RunReport<P> {
         let plan = self.plan();
-        // The live registry outlives the run until persistence has
-        // finished, so its snapshot (taken last) includes the durable
-        // store's append/fsync work.
-        let mut live_metrics = None;
-        let mut report = match backend {
+        match backend {
             Backend::Threads(mut opts) => {
                 if opts.initial_state.is_none() {
                     opts.initial_state = self.initial_state.clone();
                 }
                 opts.checkpoint_root |= self.checkpoint_roots;
                 let result = run_threads(self.program.clone(), &plan, self.streams.to_vec(), opts);
-                live_metrics = result.metrics;
                 RunReport {
                     plan,
                     outputs: result.outputs,
@@ -515,7 +488,7 @@ where
                     timing: result.timing,
                     replans: result.replans,
                     sim: None,
-                    metrics: None,
+                    metrics: result.metrics.map(|m| m.snapshot()),
                 }
             }
             Backend::Sim(mut cfg) => {
@@ -556,15 +529,7 @@ where
                 }
             }
             Backend::Spec => self.run_spec(self.initial_state.clone()),
-        };
-        if let (Some(dir), Some(persist)) = (&self.checkpoint_dir, self.persist) {
-            let sink = live_metrics.as_ref().map(|m| m.store.clone());
-            persist(dir, &report.checkpoints, sink).unwrap_or_else(|e| {
-                panic!("persisting checkpoints to {}: {e}", dir.display())
-            });
         }
-        report.metrics = live_metrics.map(|m| m.snapshot());
-        report
     }
 
     /// The sequential-specification run, seeded with `initial` (falling
@@ -648,26 +613,10 @@ where
     }
 }
 
-/// Append a finished run's checkpoints to the durable store at `dir`
-/// (the [`Job::with_checkpoint_dir`] persistence hook).
-fn persist_checkpoints<S: StateCodec + Clone>(
-    dir: &Path,
-    cps: &[(WorkerId, S, Timestamp)],
-    metrics: Option<Arc<StoreMetrics>>,
-) -> Result<u64, StoreError> {
-    let mut store = DurableStore::open(dir)?;
-    if let Some(m) = metrics {
-        store = store.with_metrics(m);
-    }
-    for (root, state, ts) in cps {
-        store.record(*root, state.clone(), *ts)?;
-    }
-    Ok(cps.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::tests::scratch;
     use dgs_core::event::StreamId;
     use dgs_core::examples::{KcTag, KeyCounter};
     use dgs_core::tag::Tag;
@@ -881,14 +830,12 @@ mod tests {
         assert!(first(&verified.spec) >= 100);
     }
 
-    /// `with_checkpoint_dir` persists every root-join snapshot; a fresh
-    /// job over the same directory reads them back from disk alone, and
-    /// the latest one seeds a verified recovery run.
+    /// `persist_checkpoints` writes every root-join snapshot; a fresh
+    /// store over the same directory reads them back from disk alone,
+    /// and the latest one seeds a verified recovery run.
     #[test]
     fn checkpoint_dir_round_trips_through_a_fresh_store() {
-        let dir = std::env::temp_dir()
-            .join(format!("flumina-job-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("job-ckpt");
         let streams = || {
             vec![
                 ScheduledStream::periodic(it(KcTag::ReadReset(1), 0), 10, 10, 3, |_| ())
@@ -902,14 +849,13 @@ mod tests {
                     .closed(u64::MAX),
             ]
         };
-        let job = Job::new(KeyCounter, streams()).with_checkpoint_dir(&dir);
-        let report = job.run(Backend::threads());
+        let job = Job::new(KeyCounter, streams()).checkpoint_roots(true);
+        let mut report = job.run(Backend::threads());
         assert_eq!(report.checkpoints.len(), 3, "one snapshot per read-reset");
-        drop(job);
-        // A brand-new job over the same dir sees them without running.
-        let job2 = Job::new(KeyCounter, streams()).with_checkpoint_dir(&dir);
-        let store = job2.recover_checkpoints().expect("reopen from disk");
-        assert_eq!(CheckpointStore::len(&store), 3);
+        assert_eq!(report.persist_checkpoints(&dir).expect("fresh directory"), 3);
+        // A brand-new store over the same dir sees them without running.
+        let store = DurableStore::<BTreeMap<u32, i64>>::open(&dir).expect("reopen from disk");
+        assert_eq!(store.len(), 3);
         let root = report.plan.root_of(
             report
                 .plan
@@ -929,16 +875,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `RunReport.metrics` is snapshotted *after* persistence, so a
-    /// checkpointed threaded run reports the store's fsync/append tallies;
-    /// spec runs carry no metrics at all.
+    /// `persist_checkpoints` writes the store's tallies into
+    /// `RunReport.metrics`, so a persisted threaded run reports the
+    /// store's fsync/append counts (zero before the call — `run` itself
+    /// writes nothing); spec runs carry no metrics at all.
     #[test]
     fn run_report_metrics_include_post_persist_store_counts() {
-        let dir = std::env::temp_dir()
-            .join(format!("flumina-job-metrics-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let job = Job::new(KeyCounter, kc_streams()).with_checkpoint_dir(&dir);
-        let report = job.run(Backend::threads());
+        let dir = scratch("job-metrics");
+        let job = Job::new(KeyCounter, kc_streams()).checkpoint_roots(true);
+        let mut report = job.run(Backend::threads());
+        assert_eq!(report.metrics.as_ref().expect("metrics on").store.appends, 0);
+        report.persist_checkpoints(&dir).expect("fresh directory");
         let m = report.metrics.as_ref().expect("threaded runs carry metrics");
         assert_eq!(
             m.store.appends,
@@ -951,6 +898,25 @@ mod tests {
 
         let spec = Job::new(KeyCounter, kc_streams()).run(Backend::Spec);
         assert!(spec.metrics.is_none(), "spec runs have no metrics plane");
+    }
+
+    /// A storage failure is a value, not a panic: persisting into a
+    /// directory that already holds a later history is refused, and the
+    /// directory is left exactly as it was.
+    #[test]
+    fn persisting_behind_an_existing_history_is_an_error_not_a_panic() {
+        let dir = scratch("job-used-dir");
+        let job = Job::new(KeyCounter, kc_streams()).checkpoint_roots(true);
+        let mut report = job.run(Backend::threads());
+        let n = report.persist_checkpoints(&dir).expect("fresh directory");
+        assert!(n > 1, "several root joins, so the first is behind the last");
+        // The same history again: its first checkpoint is behind the
+        // directory's latest.
+        let err = report.persist_checkpoints(&dir).expect_err("used directory");
+        assert!(matches!(err, StoreError::Corrupt(_)), "got {err}");
+        let store = DurableStore::<BTreeMap<u32, i64>>::open(&dir).expect("still opens");
+        assert_eq!(store.len(), n, "a refused append writes nothing");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,16 +4,20 @@
 //! A forest plan's trees share no dependence, so each tree is an
 //! independent **failure domain**: a crash in one partition is recovered
 //! from that partition's latest snapshot by replaying that partition's
-//! input suffix, while every other partition is untouched.
-//! [`run_with_recovery`] therefore drives each partition as its own
-//! checkpointed deployment (via [`Plan::partition_plan`]) and — if a
-//! crash is injected — drops everything after the crash point *in the
-//! partition owning the synchronizing stream*, restores its latest
-//! snapshot, and replays its remaining input. Because a root-join
-//! snapshot is a consistent cut in dependence order (and partitions are
-//! pairwise independent), the spliced output union equals the no-failure
-//! run exactly. A single-root plan degenerates to the paper's original
-//! whole-deployment recovery.
+//! input suffix, while every other partition is untouched. Because a
+//! root-join snapshot is a consistent cut in dependence order (and
+//! partitions are pairwise independent), the spliced output union equals
+//! the no-failure run exactly. A single-root plan degenerates to the
+//! paper's original whole-deployment recovery.
+//!
+//! There is one orchestrator, [`run_durable_with_recovery`], and it is
+//! the four steps it names: split the inputs per partition, run each
+//! partition and persist its root-join snapshots, reopen the directory
+//! through a fresh store, replay the crashed partition's suffix and
+//! splice. The crash is an armed [`FaultPlan`]; the in-memory rehearsal
+//! "crash right after the k-th checkpoint" is its cell `FaultPlan {
+//! crash_after_appends: k + 1, fault: Fault::CleanCrash, .. }`, and
+//! `faults: None` is a plain checkpointed run.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,145 +29,143 @@ use dgs_metrics::{StoreMetrics, StoreSnapshot};
 use dgs_core::program::DgsProgram;
 use dgs_plan::plan::{Plan, WorkerId};
 
-use crate::checkpoint::{suffix_after, CheckpointStore, MemoryStore};
+use crate::checkpoint::{suffix_after, CheckpointStore};
 use crate::durable::{DurableStore, FaultPlan, StoreError};
 use crate::source::ScheduledStream;
 use crate::thread_driver::{run_threads, ThreadRunOptions};
 
-/// Where to inject a crash.
-#[derive(Clone, Copy, Debug)]
-pub enum CrashPoint {
-    /// No failure: a plain checkpointed run.
-    None,
-    /// Crash the partition owning the synchronizing stream immediately
-    /// after its k-th checkpoint (0-based) was taken; that partition's
-    /// outputs after the checkpoint's trigger are lost and recovered by
-    /// replay. Other partitions are independent and unaffected.
-    AfterCheckpoint(usize),
+type Streams<Prog> =
+    Vec<ScheduledStream<<Prog as DgsProgram>::Tag, <Prog as DgsProgram>::Payload>>;
+type Outputs<Prog> = Vec<(<Prog as DgsProgram>::Out, Timestamp)>;
+
+/// One partition's share of a run — what it takes to run the tree as its
+/// own checkpointed deployment, and to restart it after a crash.
+struct Partition<Prog: DgsProgram> {
+    /// The partition root in the *original* plan: the key its
+    /// checkpoints are stored under.
+    root: WorkerId,
+    /// The tree as a stand-alone plan ([`Plan::partition_plan`]).
+    plan: Plan<Prog::Tag>,
+    /// The input streams its workers own.
+    streams: Streams<Prog>,
+    /// Its chain-forked share of `init()` — also the fallback when
+    /// nothing durable survived a crash.
+    seed: Prog::State,
 }
 
-/// Result of a (possibly recovered) run.
-#[derive(Debug)]
-pub struct RecoveredRun<S, Out> {
-    /// The spliced output stream (crashed partition: pre-crash prefix +
-    /// replayed suffix; other partitions: their full runs).
-    pub outputs: Vec<(Out, Timestamp)>,
-    /// Checkpoints taken across all partitions and phases, keyed by
-    /// partition root (original plan ids).
-    pub store: MemoryStore<S>,
-    /// Whether a recovery actually happened.
-    pub recovered: bool,
-}
-
-/// Run `plan` over `streams`, optionally injecting a crash into the
-/// partition owning `sync_stream` and recovering it from its latest
-/// snapshot.
-///
-/// `sync_stream` is the stream carrying the crash partition root's
-/// synchronizing events (checkpoint triggers); it defines the order-`O`
-/// cut for replay.
-pub fn run_with_recovery<Prog>(
-    prog: Arc<Prog>,
-    plan: &Plan<Prog::Tag>,
-    streams: Vec<ScheduledStream<Prog::Tag, Prog::Payload>>,
-    sync_stream: StreamId,
-    crash: CrashPoint,
-) -> RecoveredRun<Prog::State, Prog::Out>
+impl<Prog> Partition<Prog>
 where
     Prog: DgsProgram + Send + Sync + 'static,
-    Prog::State: Send,
+    Prog::State: StateCodec + Send,
     Prog::Out: Send,
 {
-    let mut outputs: Vec<(Prog::Out, Timestamp)> = Vec::new();
-    let mut store = MemoryStore::new();
-    let mut recovered = false;
-    // Every stream must belong to some partition — fail loudly up front
-    // (as `run_threads`' feeder mapping would) instead of silently
-    // filtering an orphaned stream out of every sub-run.
-    for s in &streams {
-        assert!(
-            plan.responsible_for(&s.itag).is_some(),
-            "no worker responsible for {:?}",
-            s.itag
-        );
-    }
-    // Each partition's sub-run must start from its chain-forked *share*
-    // of the initial state, exactly as a whole-forest `run_threads`
-    // would seed it — handing every partition the full `init()` would
-    // duplicate any non-neutral initial state across trees.
-    let seeds = crate::worker::partition_seeds(prog.as_ref(), plan, prog.init());
-    for (&root, seed) in plan.roots().iter().zip(seeds) {
-        let (sub_plan, _mapping) = plan.partition_plan(root);
-        let part_streams: Vec<ScheduledStream<Prog::Tag, Prog::Payload>> = streams
+    /// Step 1: split the inputs per partition.
+    fn split(prog: &Prog, plan: &Plan<Prog::Tag>, streams: &Streams<Prog>) -> Vec<Self> {
+        // Every stream must belong to some partition — fail loudly up
+        // front (as `run_threads`' feeder mapping would) instead of
+        // silently filtering an orphaned stream out of every sub-run.
+        for s in streams {
+            assert!(
+                plan.responsible_for(&s.itag).is_some(),
+                "no worker responsible for {:?}",
+                s.itag
+            );
+        }
+        // Each partition's sub-run must start from its chain-forked
+        // *share* of the initial state, exactly as a whole-forest
+        // `run_threads` would seed it — handing every partition the full
+        // `init()` would duplicate any non-neutral initial state across
+        // trees.
+        let seeds = crate::worker::partition_seeds(prog, plan, prog.init());
+        let owns = |root, s: &ScheduledStream<Prog::Tag, Prog::Payload>| {
+            plan.responsible_for(&s.itag).is_some_and(|w| plan.root_of(w) == root)
+        };
+        plan.roots()
             .iter()
-            .filter(|s| {
-                plan.responsible_for(&s.itag)
-                    .is_some_and(|w| plan.root_of(w) == root)
+            .zip(seeds)
+            .map(|(&root, seed)| Partition {
+                root,
+                plan: plan.partition_plan(root).0,
+                streams: streams.iter().filter(|s| owns(root, s)).cloned().collect(),
+                seed,
             })
-            .cloned()
-            .collect();
-        let full = run_threads(
-            prog.clone(),
-            &sub_plan,
-            part_streams.clone(),
-            ThreadRunOptions {
-                initial_state: Some(seed),
-                checkpoint_root: true,
-                ..Default::default()
-            },
-        );
-        // Sub-run checkpoints carry the sub-plan's root id; re-key them to
-        // the original plan's root.
-        let rekey = |cps: Vec<(dgs_plan::plan::WorkerId, Prog::State, Timestamp)>| {
-            cps.into_iter().map(move |(_, s, t)| (root, s, t))
-        };
-        let owns_sync = part_streams.iter().any(|s| s.itag.stream == sync_stream);
-        let crash_k = match crash {
-            CrashPoint::AfterCheckpoint(k) if owns_sync => Some(k),
-            _ => None,
-        };
-        let Some((snapshot, cut_ts)) =
-            crash_k.and_then(|k| full.checkpoints.get(k).map(|(_, s, t)| (s.clone(), *t)))
-        else {
-            // No crash here (or the crash point was never reached — the
-            // partition completed first): a plain checkpointed run.
-            store.extend(rekey(full.checkpoints));
-            outputs.extend(full.outputs);
-            continue;
-        };
-        recovered = true;
-        // Keep only what survived the crash.
-        let k = crash_k.expect("crash point resolved");
-        let survived: Vec<_> = full.checkpoints.into_iter().take(k + 1).collect();
-        store.extend(rekey(survived));
-        outputs.extend(full.outputs.into_iter().filter(|(_, ts)| *ts <= cut_ts));
-        // Restart this partition from the snapshot on its remaining input.
-        let suffix = suffix_after(&part_streams, cut_ts, sync_stream);
-        let resumed = run_threads(
-            prog.clone(),
-            &sub_plan,
-            suffix,
-            ThreadRunOptions {
-                initial_state: Some(snapshot),
-                checkpoint_root: true,
-                ..Default::default()
-            },
-        );
-        outputs.extend(resumed.outputs);
-        store.extend(rekey(resumed.checkpoints));
+            .collect()
     }
-    RecoveredRun { outputs, store, recovered }
+
+    /// Step 2, and the replay half of step 4: run the partition over
+    /// `streams` from `state`, snapshotting at every root join, then
+    /// persist the snapshots in the order they were taken. Returns the
+    /// outputs and the wall time of the run alone. A writer that hits
+    /// its injected crash point is not an error here — it dies
+    /// mid-sequence, exactly like the real process, and the caller asks
+    /// [`DurableStore::has_crashed`].
+    fn run_and_persist(
+        &self,
+        prog: &Arc<Prog>,
+        streams: Streams<Prog>,
+        state: Prog::State,
+        store: &mut DurableStore<Prog::State>,
+    ) -> Result<(Outputs<Prog>, u64), StoreError> {
+        let t_run = Instant::now();
+        let run = run_threads(
+            prog.clone(),
+            &self.plan,
+            streams,
+            ThreadRunOptions {
+                initial_state: Some(state),
+                checkpoint_root: true,
+                ..Default::default()
+            },
+        );
+        let run_ns = t_run.elapsed().as_nanos() as u64;
+        // Sub-run checkpoints carry the sub-plan's root id; re-key them
+        // to the original plan's root.
+        match store.extend(run.checkpoints.into_iter().map(|(_, s, t)| (self.root, s, t))) {
+            Ok(()) | Err(StoreError::Crashed { .. }) => Ok((run.outputs, run_ns)),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Step 4: restart the crashed partition from its latest durable
+    /// snapshot on its remaining input, and splice — `outputs` gains
+    /// what survived of the pre-crash run plus the replay's outputs,
+    /// `store` the replay's snapshots. Returns `(events_replayed,
+    /// replay_ns)`.
+    fn replay_and_splice(
+        &self,
+        prog: &Arc<Prog>,
+        sync_stream: StreamId,
+        crash_outputs: Outputs<Prog>,
+        store: &mut DurableStore<Prog::State>,
+        outputs: &mut Outputs<Prog>,
+    ) -> Result<(u64, u64), StoreError> {
+        let (snapshot, suffix) = match store.latest(self.root).cloned() {
+            Some((snap, cut_ts)) => {
+                // Outputs after the last durable cut died with the process.
+                outputs.extend(crash_outputs.into_iter().filter(|(_, ts)| *ts <= cut_ts));
+                (snap, suffix_after(&self.streams, cut_ts, sync_stream))
+            }
+            // Nothing durable survived: replay the partition from its seed.
+            None => (self.seed.clone(), self.streams.clone()),
+        };
+        let events_replayed = suffix.iter().map(|s| s.events().count() as u64).sum();
+        let (resumed, replay_ns) = self.run_and_persist(prog, suffix, snapshot, store)?;
+        outputs.extend(resumed);
+        Ok((events_replayed, replay_ns))
+    }
 }
 
-/// A crashed partition's in-flight context, held back for splicing:
-/// its pre-crash outputs, its sub-plan, its input streams, and its
-/// chain-forked seed (the fallback when nothing durable survived).
-type CrashSite<Prog> = (
-    Vec<(<Prog as DgsProgram>::Out, Timestamp)>,
-    Plan<<Prog as DgsProgram>::Tag>,
-    Vec<ScheduledStream<<Prog as DgsProgram>::Tag, <Prog as DgsProgram>::Payload>>,
-    <Prog as DgsProgram>::State,
-);
+/// Step 3: reopen the directory through a **fresh store object** — the
+/// snapshot must come back from the segment files alone. Returns the
+/// store and the wall time of the open (segment scan + repair).
+fn reopen<S: StateCodec + Clone>(
+    dir: &Path,
+    sink: &Arc<StoreMetrics>,
+) -> Result<(DurableStore<S>, u64), StoreError> {
+    let t_open = Instant::now();
+    let store = DurableStore::open(dir)?.with_metrics(sink.clone());
+    Ok((store, t_open.elapsed().as_nanos() as u64))
+}
 
 /// Result of a durable run: outputs spliced across the crash, the
 /// reopened store, and the measured recovery SLO ingredients.
@@ -192,19 +194,21 @@ pub struct DurableRecovery<S, Out> {
     pub store: DurableStore<S>,
 }
 
-/// Run `plan` over `streams` with checkpoints persisted to `dir`,
-/// optionally arming a [`FaultPlan`] against the partition owning
-/// `sync_stream`.
+/// Run `plan` over `streams`, one checkpointed sub-run per partition,
+/// with every root-join snapshot persisted to `dir` — optionally arming
+/// a [`FaultPlan`] against the partition owning `sync_stream` (the
+/// stream carrying that partition root's synchronizing events; it
+/// defines the order-`O` cut for replay).
 ///
-/// Unlike [`run_with_recovery`]'s in-memory rehearsal, a crash here is
-/// *process-visible*: the armed writer's appends start failing at the
-/// injected point (possibly leaving torn bytes or a damaged manifest
-/// behind), everything the dead partition produced after its last
-/// durable checkpoint is discarded, and recovery reopens the directory
-/// through a **fresh store object** — the snapshot must come back from
-/// the segment files alone. The replayed suffix is seeded with that
-/// snapshot, and the spliced outputs equal the sequential specification
-/// (Theorem 3.5 across the crash).
+/// A crash is *process-visible*: the armed writer's appends start
+/// failing at the injected point (possibly leaving torn bytes or a
+/// damaged manifest behind), everything the dead partition produced
+/// after its last durable checkpoint is discarded, and recovery reopens
+/// the directory through a fresh store object. The replayed suffix is
+/// seeded with the snapshot read back, and the spliced outputs equal the
+/// sequential specification (Theorem 3.5 across the crash). A crash
+/// point past the partition's last checkpoint never fires: the result
+/// is a plain run with `recovered: false`.
 pub fn run_durable_with_recovery<Prog>(
     prog: Arc<Prog>,
     plan: &Plan<Prog::Tag>,
@@ -219,73 +223,35 @@ where
     Prog::Out: Send,
 {
     let dir = dir.as_ref();
-    for s in &streams {
-        assert!(
-            plan.responsible_for(&s.itag).is_some(),
-            "no worker responsible for {:?}",
-            s.itag
-        );
-    }
+    let parts = Partition::split(prog.as_ref(), plan, &streams);
     // The partition whose writer the fault plan (if any) is scoped to.
-    let sync_root = {
-        let s = streams
-            .iter()
-            .find(|s| s.itag.stream == sync_stream)
-            .expect("sync_stream must be one of the input streams");
-        plan.root_of(plan.responsible_for(&s.itag).expect("owned"))
-    };
+    let sync_root = parts
+        .iter()
+        .find(|p| p.streams.iter().any(|s| s.itag.stream == sync_stream))
+        .expect("sync_stream must be one of the input streams")
+        .root;
     let sink = Arc::new(StoreMetrics::default());
     let mut writer = DurableStore::open(dir)?.with_metrics(sink.clone());
     if let Some(f) = faults {
         writer = writer.with_faults(f, sync_root);
     }
-    let seeds = crate::worker::partition_seeds(prog.as_ref(), plan, prog.init());
-    let mut outputs: Vec<(Prog::Out, Timestamp)> = Vec::new();
-    // The crashed partition's in-flight results, held back for splicing.
-    let mut crash_site: Option<CrashSite<Prog>> = None;
-    for (&root, seed) in plan.roots().iter().zip(seeds) {
-        let (sub_plan, _mapping) = plan.partition_plan(root);
-        let part_streams: Vec<ScheduledStream<Prog::Tag, Prog::Payload>> = streams
-            .iter()
-            .filter(|s| {
-                plan.responsible_for(&s.itag)
-                    .is_some_and(|w| plan.root_of(w) == root)
-            })
-            .cloned()
-            .collect();
-        let full = run_threads(
-            prog.clone(),
-            &sub_plan,
-            part_streams.clone(),
-            ThreadRunOptions {
-                initial_state: Some(seed.clone()),
-                checkpoint_root: true,
-                ..Default::default()
-            },
-        );
-        // Persist each root-join snapshot as it is taken; the armed
-        // writer dies mid-sequence, exactly like the real process.
-        let mut died = false;
-        for (_, s, t) in full.checkpoints {
-            match writer.record(root, s, t) {
-                Ok(()) => {}
-                Err(StoreError::Crashed { .. }) => {
-                    died = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // The crash can also fire on the partition's *last* append, in
-        // which case no later append surfaces the error.
-        died = died || (root == sync_root && writer.has_crashed());
-        if died {
-            crash_site = Some((full.outputs, sub_plan, part_streams, seed));
+    let mut outputs = Vec::new();
+    // The crashed partition and its in-flight outputs, held back for
+    // splicing.
+    let mut crash_site = None;
+    for part in parts {
+        let (full, _) =
+            part.run_and_persist(&prog, part.streams.clone(), part.seed.clone(), &mut writer)?;
+        // Asked of the writer rather than read off a failed append: the
+        // crash can also fire on the partition's *last* append, in which
+        // case no later append surfaces the error.
+        if part.root == sync_root && writer.has_crashed() {
+            crash_site = Some((part, full));
         } else {
-            outputs.extend(full.outputs);
+            outputs.extend(full);
         }
     }
-    let Some((crash_outputs, sub_plan, part_streams, seed)) = crash_site else {
+    let Some((part, crash_outputs)) = crash_site else {
         return Ok(DurableRecovery {
             outputs,
             recovered: false,
@@ -300,36 +266,9 @@ where
     // The writer object dies with its process: its in-memory image must
     // not survive into recovery. Only the directory does.
     drop(writer);
-    let t_open = Instant::now();
-    let mut store = DurableStore::<Prog::State>::open(dir)?.with_metrics(sink.clone());
-    let open_ns = t_open.elapsed().as_nanos() as u64;
-    let cut = store.latest(sync_root).map(|(s, t)| (s.clone(), *t));
-    let (snapshot, suffix) = match &cut {
-        Some((snap, cut_ts)) => {
-            // Outputs after the last durable cut died with the process.
-            outputs.extend(crash_outputs.into_iter().filter(|(_, ts)| *ts <= *cut_ts));
-            (snap.clone(), suffix_after(&part_streams, *cut_ts, sync_stream))
-        }
-        // Nothing durable survived: replay the partition from its seed.
-        None => (seed, part_streams.clone()),
-    };
-    let events_replayed: u64 = suffix.iter().map(|s| s.events().count() as u64).sum();
-    let t_replay = Instant::now();
-    let resumed = run_threads(
-        prog.clone(),
-        &sub_plan,
-        suffix,
-        ThreadRunOptions {
-            initial_state: Some(snapshot),
-            checkpoint_root: true,
-            ..Default::default()
-        },
-    );
-    let replay_ns = t_replay.elapsed().as_nanos() as u64;
-    outputs.extend(resumed.outputs);
-    for (_, s, t) in resumed.checkpoints {
-        store.record(sync_root, s, t)?;
-    }
+    let (mut store, open_ns) = reopen(dir, &sink)?;
+    let (events_replayed, replay_ns) =
+        part.replay_and_splice(&prog, sync_stream, crash_outputs, &mut store, &mut outputs)?;
     Ok(DurableRecovery {
         outputs,
         recovered: true,
@@ -345,6 +284,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::tests::scratch;
+    use crate::durable::Fault;
     use dgs_core::examples::{KcTag, KeyCounter};
     use dgs_core::spec::{run_sequential, sort_o};
     use dgs_core::tag::ITag;
@@ -355,14 +296,29 @@ mod tests {
         ITag::new(tag, StreamId(s))
     }
 
+    /// One three-worker tree for `key`: its read-resets on the root
+    /// (stream `s0`; roots join, so they checkpoint), its increments on
+    /// two leaves (streams `s0 + 1`, `s0 + 2`).
+    fn key_tree(b: &mut PlanBuilder<KcTag>, key: u32, s0: u32) -> WorkerId {
+        let root = b.add([it(KcTag::ReadReset(key), s0)], Location(0));
+        for s in [s0 + 1, s0 + 2] {
+            let leaf = b.add([it(KcTag::Inc(key), s)], Location(0));
+            b.attach(root, leaf);
+        }
+        root
+    }
+
     fn counter_plan() -> Plan<KcTag> {
         let mut b = PlanBuilder::new();
-        let root = b.add([it(KcTag::ReadReset(1), 0)], Location(0));
-        let l = b.add([it(KcTag::Inc(1), 1)], Location(0));
-        let r = b.add([it(KcTag::Inc(1), 2)], Location(0));
-        b.attach(root, l);
-        b.attach(root, r);
+        let root = key_tree(&mut b, 1, 0);
         b.build(root)
+    }
+
+    /// Two trees, one per key; returns the plan and the two roots.
+    fn forest_plan() -> (Plan<KcTag>, WorkerId, WorkerId) {
+        let mut b = PlanBuilder::new();
+        let (k1, k2) = (key_tree(&mut b, 1, 0), key_tree(&mut b, 2, 3));
+        (b.build_forest(), k1, k2)
     }
 
     fn workload() -> Vec<ScheduledStream<KcTag, ()>> {
@@ -379,58 +335,73 @@ mod tests {
         ]
     }
 
-    fn spec() -> Vec<(u32, i64)> {
-        run_sequential(&KeyCounter, &sort_o(&item_lists(&workload()))).1
+    /// The sequential specification's outputs over `streams`, sorted.
+    fn spec_of<P>(prog: &P, streams: &[ScheduledStream<KcTag, ()>]) -> Vec<(u32, i64)>
+    where
+        P: DgsProgram<Tag = KcTag, Payload = (), Out = (u32, i64)>,
+    {
+        let mut want = run_sequential(prog, &sort_o(&item_lists(streams))).1;
+        want.sort();
+        want
+    }
+
+    /// A run's spliced outputs, sorted.
+    fn sorted_outputs<S>(r: &DurableRecovery<S, (u32, i64)>) -> Vec<(u32, i64)> {
+        let mut got: Vec<_> = r.outputs.iter().map(|(o, _)| *o).collect();
+        got.sort();
+        got
+    }
+
+    /// The orchestrator in a scratch directory (removed again before
+    /// returning — the returned store serves its reads from memory).
+    /// `crash_after: Some(k)` kills the partition owning stream 0 right
+    /// after its k-th checkpoint (0-based) became durable: checkpoints
+    /// `0..=k` survive, its outputs after that cut are lost and
+    /// recovered by replay. Other partitions are independent and
+    /// unaffected.
+    fn recover<P>(
+        prog: P,
+        plan: &Plan<KcTag>,
+        streams: Vec<ScheduledStream<KcTag, ()>>,
+        crash_after: Option<u64>,
+    ) -> DurableRecovery<P::State, P::Out>
+    where
+        P: DgsProgram<Tag = KcTag, Payload = ()> + Send + Sync + 'static,
+        P::State: StateCodec + Send,
+        P::Out: Send,
+    {
+        let dir = scratch("recovery");
+        let faults = crash_after
+            .map(|k| FaultPlan { crash_after_appends: k + 1, fault: Fault::CleanCrash, seed: 1 });
+        let r = run_durable_with_recovery(Arc::new(prog), plan, streams, StreamId(0), &dir, faults)
+            .expect("a clean crash always recovers");
+        let _ = std::fs::remove_dir_all(&dir);
+        r
     }
 
     #[test]
     fn no_crash_is_a_plain_run() {
-        let r = run_with_recovery(
-            Arc::new(KeyCounter),
-            &counter_plan(),
-            workload(),
-            StreamId(0),
-            CrashPoint::None,
-        );
+        let r = recover(KeyCounter, &counter_plan(), workload(), None);
         assert!(!r.recovered);
         assert_eq!(r.store.len(), 6);
-        let mut got: Vec<_> = r.outputs.iter().map(|(o, _)| *o).collect();
-        let mut want = spec();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
+        assert_eq!(sorted_outputs(&r), spec_of(&KeyCounter, &workload()));
     }
 
     #[test]
     fn crash_at_each_checkpoint_recovers_exactly() {
         for k in 0..6 {
-            let r = run_with_recovery(
-                Arc::new(KeyCounter),
-                &counter_plan(),
-                workload(),
-                StreamId(0),
-                CrashPoint::AfterCheckpoint(k),
-            );
+            let r = recover(KeyCounter, &counter_plan(), workload(), Some(k));
             assert!(r.recovered, "checkpoint {k} exists");
             // All 6 checkpoints are re-established across the two phases.
             assert_eq!(r.store.len(), 6, "crash at {k}");
-            let mut got: Vec<_> = r.outputs.iter().map(|(o, _)| *o).collect();
-            let mut want = spec();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want, "crash at checkpoint {k}");
+            let want = spec_of(&KeyCounter, &workload());
+            assert_eq!(sorted_outputs(&r), want, "crash at checkpoint {k}");
         }
     }
 
     #[test]
     fn crash_beyond_last_checkpoint_is_a_no_op() {
-        let r = run_with_recovery(
-            Arc::new(KeyCounter),
-            &counter_plan(),
-            workload(),
-            StreamId(0),
-            CrashPoint::AfterCheckpoint(99),
-        );
+        let r = recover(KeyCounter, &counter_plan(), workload(), Some(99));
         assert!(!r.recovered);
     }
 
@@ -481,20 +452,7 @@ mod tests {
             }
         }
 
-        // Two three-worker trees, one per key (roots join, so they
-        // checkpoint).
-        let mut b = PlanBuilder::new();
-        let k1 = b.add([it(KcTag::ReadReset(1), 0)], Location(0));
-        let a1 = b.add([it(KcTag::Inc(1), 1)], Location(0));
-        let a2 = b.add([it(KcTag::Inc(1), 2)], Location(0));
-        b.attach(k1, a1);
-        b.attach(k1, a2);
-        let k2 = b.add([it(KcTag::ReadReset(2), 3)], Location(0));
-        let b1 = b.add([it(KcTag::Inc(2), 4)], Location(0));
-        let b2 = b.add([it(KcTag::Inc(2), 5)], Location(0));
-        b.attach(k2, b1);
-        b.attach(k2, b2);
-        let plan = b.build_forest();
+        let (plan, k1, k2) = forest_plan();
         let streams = vec![
             ScheduledStream::periodic(it(KcTag::ReadReset(1), 0), 10, 10, 2, |_| ())
                 .with_heartbeats(3)
@@ -515,24 +473,11 @@ mod tests {
                 .with_heartbeats(3)
                 .closed(u64::MAX),
         ];
-        let want = {
-            let merged = sort_o(&item_lists(&streams));
-            let mut w = run_sequential(&SeededCounter, &merged).1;
-            w.sort();
-            w
-        };
-        let r = run_with_recovery(
-            Arc::new(SeededCounter),
-            &plan,
-            streams,
-            StreamId(0),
-            CrashPoint::None,
-        );
+        let want = spec_of(&SeededCounter, &streams);
+        let r = recover(SeededCounter, &plan, streams, None);
         // Each seed is read exactly once (first read-reset reports
         // 100/200 + the increments so far).
-        let mut got: Vec<_> = r.outputs.iter().map(|(o, _)| *o).collect();
-        got.sort();
-        assert_eq!(got, want);
+        assert_eq!(sorted_outputs(&r), want);
         // And the snapshots are partition-pure: no tree's checkpoints
         // ever hold the other tree's key.
         assert!(!r.store.of_root(k1).is_empty() && !r.store.of_root(k2).is_empty());
@@ -549,18 +494,7 @@ mod tests {
     /// spliced union still equals the no-failure sequential spec.
     #[test]
     fn forest_crash_recovers_only_the_owning_partition() {
-        let mut b = PlanBuilder::new();
-        let r1 = b.add([it(KcTag::ReadReset(1), 0)], Location(0));
-        let l1 = b.add([it(KcTag::Inc(1), 1)], Location(0));
-        let l2 = b.add([it(KcTag::Inc(1), 2)], Location(0));
-        b.attach(r1, l1);
-        b.attach(r1, l2);
-        let r2 = b.add([it(KcTag::ReadReset(2), 3)], Location(0));
-        let l3 = b.add([it(KcTag::Inc(2), 4)], Location(0));
-        b.attach(r2, l3);
-        let sib = b.add([it(KcTag::Inc(2), 5)], Location(0));
-        b.attach(r2, sib);
-        let plan = b.build_forest();
+        let (plan, r1, r2) = forest_plan();
         let streams = || {
             let mut s = workload();
             s.push(
@@ -580,27 +514,15 @@ mod tests {
             );
             s
         };
-        let want = {
-            let merged = sort_o(&item_lists(&streams()));
-            let mut w = run_sequential(&KeyCounter, &merged).1;
-            w.sort();
-            w
-        };
+        let want = spec_of(&KeyCounter, &streams());
         for k in 0..6 {
-            let r = run_with_recovery(
-                Arc::new(KeyCounter),
-                &plan,
-                streams(),
-                StreamId(0), // key-1 partition's synchronizing stream
-                CrashPoint::AfterCheckpoint(k),
-            );
+            // Stream 0 is the key-1 partition's synchronizing stream.
+            let r = recover(KeyCounter, &plan, streams(), Some(k));
             assert!(r.recovered, "crash at {k}");
             // 6 key-1 checkpoints re-established + 4 untouched key-2 ones.
             assert_eq!(r.store.of_root(r1).len(), 6, "crash at {k}");
             assert_eq!(r.store.of_root(r2).len(), 4, "crash at {k}");
-            let mut got: Vec<_> = r.outputs.iter().map(|(o, _)| *o).collect();
-            got.sort();
-            assert_eq!(got, want, "crash at checkpoint {k}");
+            assert_eq!(sorted_outputs(&r), want, "crash at checkpoint {k}");
         }
     }
 }

@@ -37,14 +37,16 @@
 //! simulator, or the sequential specification — all returning the same
 //! [`RunReport`].
 //!
-//! Checkpoints become crash-durable with one more builder call:
-//! [`Job::with_checkpoint_dir`] persists every root-join snapshot into a
+//! Checkpoints become crash-durable with one more call *after* the
+//! run: [`Job::checkpoint_roots`] makes the run return its root-join
+//! snapshots, and [`RunReport::persist_checkpoints`] appends them to a
 //! [`DurableStore`] (append-only, CRC-checksummed segment files plus a
-//! write-tmp-then-rename manifest), and [`Job::recover_checkpoints`]
-//! reads them back through a fresh store after a crash —
-//! [`run_durable_with_recovery`] orchestrates the whole
-//! kill/reopen/replay cycle, with [`FaultPlan`] injecting deterministic
-//! crash wreckage underneath for tests and benchmarks.
+//! write-tmp-then-rename manifest), returning a [`StoreError`] rather
+//! than panicking when the directory cannot take them.
+//! [`DurableStore::open`] reads them back through a fresh store after a
+//! crash — [`run_durable_with_recovery`] is the one orchestrator of the
+//! whole kill/reopen/replay cycle, with [`FaultPlan`] injecting
+//! deterministic crash wreckage underneath for tests and benchmarks.
 //!
 //! ## The low-level layer
 //!
@@ -72,9 +74,7 @@ pub use dgs_runtime::elastic::{ElasticConfig, ReplanEvent, ReplanKind};
 pub use dgs_runtime::job::{
     Backend, Job, PlanStrategy, RunReport, SimStats, SpecMismatch, Verified,
 };
-pub use dgs_runtime::recovery::{
-    run_durable_with_recovery, run_with_recovery, CrashPoint, DurableRecovery, RecoveredRun,
-};
+pub use dgs_runtime::recovery::{run_durable_with_recovery, DurableRecovery};
 pub use dgs_runtime::sim_driver::SimConfig;
 pub use dgs_runtime::source::ScheduledStream;
 pub use dgs_runtime::thread_driver::{RunEffects, RunTiming, ThreadRunOptions};

@@ -11,12 +11,15 @@
 //! flumina list                                       list available workloads
 //! ```
 //!
-//! `run --checkpoint-dir D` persists every root-join checkpoint into a
-//! crash-durable [`DurableStore`](flumina::api::DurableStore) under `D`
-//! (append-only CRC-checksummed segments + manifest) and reports how
-//! many snapshots a fresh reopen of the directory can see. If the reopen
-//! had to repair torn bytes or reconstruct state without a manifest, a
-//! visible `warning:` line says so on stderr.
+//! `run --checkpoint-dir D` persists the run's root-join checkpoints,
+//! once it has verified, into a crash-durable
+//! [`DurableStore`](flumina::api::DurableStore) under `D` (append-only
+//! CRC-checksummed segments + manifest) and reports how many snapshots a
+//! fresh reopen of the directory can see. `D` must be fresh: a directory
+//! that cannot be opened, or that already holds an earlier run's
+//! records, is refused before the run starts (a `✗` line, exit 1). If
+//! the reopen had to repair torn bytes or reconstruct state without a
+//! manifest, a visible `warning:` line says so on stderr.
 //!
 //! The metrics plane is always on; `--metrics` *prints* it — the final
 //! quiesced snapshot as Prometheus text exposition on stdout (the human
@@ -56,10 +59,12 @@ use dgs_sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use flumina::api::{
-    Backend, CheckpointStore as _, ElasticConfig, ReplanKind, RunMetrics, ThreadRunOptions,
+    Backend, CheckpointStore as _, DurableStore, ElasticConfig, ReplanKind, RunMetrics,
+    ThreadRunOptions,
 };
 use flumina::apps::registry::{self, WorkloadVisitor};
 use flumina::apps::sweep::SweepWorkload;
+use flumina::core::program::DgsProgram;
 use flumina::metrics::{validate_exposition, REQUIRED_FAMILIES};
 
 struct Args {
@@ -182,6 +187,9 @@ struct RunOutcome {
     warnings: Vec<String>,
 }
 
+/// The state type a workload's checkpoints hold.
+type ProgState<W> = <<W as SweepWorkload>::Prog as DgsProgram>::State;
+
 /// `run`: execute on real threads and verify against the sequential
 /// specification.
 struct RunCmd {
@@ -221,20 +229,23 @@ impl WorkloadVisitor for RunCmd {
         } else {
             (W::for_scale(self.n, 200, 4), 20)
         };
-        let mut job = w.job(hb);
+        let job = w.job(hb).checkpoint_roots(self.checkpoint_dir.is_some());
         if let Some(dir) = &self.checkpoint_dir {
-            job = job.with_checkpoint_dir(dir);
-            // Appending a fresh run behind an earlier one would
-            // interleave two histories (the store refuses mid-run);
-            // surface the conflict up front instead.
-            if let Ok(store) = job.recover_checkpoints() {
-                if !store.is_empty() {
+            // Open the directory once up front: a directory that cannot
+            // be opened (corrupt manifest, unreadable segment) fails here,
+            // before the run, and appending a fresh run behind an earlier
+            // one would interleave two histories (the store refuses the
+            // append) — surface both now instead of after the work.
+            match DurableStore::<ProgState<W>>::open(dir) {
+                Err(e) => return fail(format!("checkpoint dir {dir} cannot be opened ✗ — {e}")),
+                Ok(store) if !store.is_empty() => {
                     return fail(format!(
                         "checkpoint dir {dir} already holds {} record(s) from an \
                          earlier run ✗ — use a fresh directory per run",
                         store.len()
                     ));
                 }
+                Ok(_) => {}
             }
         }
         // Metrics are always on; the publish slot lets the interval
@@ -307,7 +318,7 @@ impl WorkloadVisitor for RunCmd {
             let _ = h.join();
         }
         match verified {
-            Ok(v) => {
+            Ok(mut v) => {
                 let mut line = format!(
                     "{} workers on real threads produced {} outputs — MATCHES the sequential spec ✓",
                     v.run.plan.len(),
@@ -330,9 +341,12 @@ impl WorkloadVisitor for RunCmd {
                 }
                 let mut warnings = Vec::new();
                 if let Some(dir) = &self.checkpoint_dir {
+                    if let Err(e) = v.run.persist_checkpoints(dir) {
+                        return fail(format!("{line}; but persisting checkpoints failed ✗ — {e}"));
+                    }
                     // Reopen through a fresh store: report what actually
                     // survives on disk, not what the writer remembers.
-                    match job.recover_checkpoints() {
+                    match DurableStore::<ProgState<W>>::open(dir) {
                         Ok(store) => {
                             line.push_str(&format!(
                                 "; {} checkpoint(s) durable in {dir}",

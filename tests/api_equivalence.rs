@@ -5,19 +5,24 @@
 //! and Job-driven runs produce the same output multiset as the manual
 //! `run_threads` invocation — on both edge storages, on the simulator
 //! backend, and on the durable-checkpoint column (threads +
-//! `with_checkpoint_dir`, reopened through a fresh store) — all equal
-//! to the sequential specification.
+//! `checkpoint_roots`, persisted with `RunReport::persist_checkpoints`
+//! and reopened through a fresh store) — all equal to the sequential
+//! specification.
 //!
 //! Plus a proptest pinning the rate derivation itself: the per-tag
 //! rates a `Job` computes from periodic schedules are proportional to
 //! the schedules' event counts (the only thing the optimizer consumes),
 //! and locations default to the stream id with overrides winning.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use flumina::api::{Backend, CheckpointStore as _, Job, ThreadRunOptions};
+use common::scratch_dir;
+
+use flumina::api::{Backend, CheckpointStore as _, DurableStore, Job, ThreadRunOptions};
 use flumina::apps::fraud::FdWorkload;
 use flumina::apps::outlier::OdWorkload;
 use flumina::apps::page_view::PvWorkload;
@@ -26,6 +31,7 @@ use flumina::apps::sweep::{PvForestWorkload, SweepWorkload};
 use flumina::apps::value_barrier::VbWorkload;
 use flumina::core::event::{StreamId, Timestamp};
 use flumina::core::examples::{KcTag, KeyCounter};
+use flumina::core::program::DgsProgram;
 use flumina::core::tag::ITag;
 use flumina::plan::plan::Location;
 use flumina::runtime::source::ScheduledStream;
@@ -93,14 +99,16 @@ fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u
     let sim = job.run(Backend::Sim(job.auto_sim_config()));
     assert_eq!(sim.output_multiset(), spec, "{}: Job sim backend diverged", W::NAME);
 
-    // 4. The durable column: the same job persisting every checkpoint
-    //    into a DurableStore is still multiset-equal to the spec, and a
-    //    fresh reopen of the directory sees exactly the checkpoints the
-    //    run took — in particular, the spec leg of `verify_on` must not
-    //    leak its final-state snapshot into the store.
+    // 4. The durable column: the same job taking root-join checkpoints
+    //    and persisting them into a DurableStore is still multiset-equal
+    //    to the spec, and a fresh reopen of the directory sees exactly
+    //    the checkpoints the run took — in particular, the spec leg of
+    //    `verify_on` cannot leak its final-state snapshot into the store
+    //    (it never meets a directory: only `v.run` is persisted).
     let dir = scratch_dir(W::NAME);
-    let durable_job = w.job(hb).with_checkpoint_dir(&dir);
-    let v = durable_job
+    let mut v = w
+        .job(hb)
+        .checkpoint_roots(true)
         .verify_on(Backend::threads())
         .unwrap_or_else(|e| panic!("{} [durable]: diverged from spec: {e}", W::NAME));
     assert_eq!(v.run.output_multiset(), spec, "{} [durable]: wrong multiset", W::NAME);
@@ -109,7 +117,12 @@ fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u
         "{}: a durable job must take root-join checkpoints",
         W::NAME
     );
-    let store = durable_job.recover_checkpoints().unwrap_or_else(|e| {
+    let persisted = v
+        .run
+        .persist_checkpoints(&dir)
+        .unwrap_or_else(|e| panic!("{} [durable]: persisting failed: {e}", W::NAME));
+    assert_eq!(persisted, v.run.checkpoints.len());
+    let store = DurableStore::<<W::Prog as DgsProgram>::State>::open(&dir).unwrap_or_else(|e| {
         panic!("{} [durable]: fresh reopen failed: {e}", W::NAME)
     });
     assert_eq!(
@@ -121,21 +134,6 @@ fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u
     assert!(!store.open_report().manifest_fallback, "{}: manifest must seal", W::NAME);
     assert_eq!(store.open_report().repaired_bytes, 0, "{}: clean run, clean tail", W::NAME);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Fresh scratch checkpoint directory (no tempfile crate in the image).
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    use dgs_sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "flumina-api-eq-{}-{}-{}",
-        name,
-        std::process::id(),
-        // ORDERING: Relaxed — scratch-dir uniquifier only.
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]

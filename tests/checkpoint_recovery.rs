@@ -12,10 +12,12 @@
 //! every checkpoint is re-established, and on forest plans no
 //! partition's durable snapshots ever leak another partition's state.
 
+mod common;
+
 use std::collections::BTreeSet;
-use std::path::PathBuf;
-use dgs_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use common::scratch_dir as scratch;
 
 use flumina::api::{run_durable_with_recovery, Backend, CheckpointStore as _, Fault, FaultPlan};
 use flumina::apps::fraud::FdWorkload;
@@ -47,7 +49,7 @@ fn recovery_from_any_checkpoint_reproduces_the_spec() {
         ThreadRunOptions { initial_state: None, checkpoint_root: true, ..Default::default() },
     );
     let mut store = MemoryStore::new();
-    store.extend(full.checkpoints.clone());
+    store.extend(full.checkpoints.clone()).expect("the memory store never fails");
     assert_eq!(store.len() as u64, w.barriers);
     let root = w.plan().root();
     assert_eq!(store.of_root(root).len() as u64, w.barriers);
@@ -108,18 +110,6 @@ fn snapshot_state_is_consistent_cut() {
 
 const ALL_FAULTS: [Fault; 4] =
     [Fault::CleanCrash, Fault::TornTail, Fault::TruncatedManifest, Fault::StaleManifest];
-
-/// Fresh scratch checkpoint directory (no tempfile crate in the image).
-fn scratch(name: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "flumina-chaos-{}-{}-{}",
-        name,
-        std::process::id(),
-        // ORDERING: Relaxed — scratch-dir uniquifier only.
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 /// One chaos cell: run `W` with durable checkpoints, kill the partition
 /// owning its synchronizing stream after `kill_after` appends under

@@ -1,6 +1,7 @@
 //! Shared helpers for the integration suite: randomized valid plan
 //! generation (so Theorem 3.5 can be tested over the *space* of plans,
-//! not one plan) and workload builders.
+//! not one plan), workload builders, and scratch checkpoint directories.
+//! Each suite uses its own subset, hence the `dead_code` allowances.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -9,10 +10,25 @@ use flumina::core::depends::{Dependence, DependenceGraph};
 use flumina::core::tag::{ITag, Tag};
 use flumina::plan::plan::{Location, Plan, PlanBuilder, WorkerId};
 
+/// Fresh scratch checkpoint directory (no tempfile crate in the image),
+/// unique per process and call, removed first if a previous run left it.
+#[allow(dead_code)]
+pub fn scratch_dir(name: &str) -> std::path::PathBuf {
+    use dgs_sync::atomic::{AtomicU64, Ordering};
+    static N: AtomicU64 = AtomicU64::new(0);
+    // ORDERING: Relaxed — scratch-dir uniquifier only.
+    let n = N.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("flumina-it-{name}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// Generate a random P-valid synchronization plan for the given
 /// implementation tags: like the Appendix B optimizer, but with random
 /// hub selection and random component grouping. Every plan this produces
 /// satisfies V1/V2 by construction (asserted by callers).
+#[allow(dead_code)]
 pub fn random_valid_plan<T: Tag>(
     itags: &[ITag<T>],
     dep: &dyn Dependence<T>,

@@ -10,11 +10,14 @@
 //! checkpoints back from the segment files alone through a fresh store
 //! object on the same directory.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
-use dgs_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use common::scratch_dir as scratch;
 
 use proptest::prelude::*;
 
@@ -30,20 +33,6 @@ type Map = BTreeMap<u32, i64>;
 
 const R0: WorkerId = WorkerId(0);
 const R1: WorkerId = WorkerId(1);
-
-/// Fresh scratch checkpoint directory (no tempfile crate in the image).
-fn scratch(name: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "flumina-durable-it-{}-{}-{}",
-        name,
-        std::process::id(),
-        // ORDERING: Relaxed — scratch-dir uniquifier only.
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 fn seg_path(dir: &std::path::Path, root: WorkerId) -> PathBuf {
     dir.join(format!("seg-{:06}.log", root.0))

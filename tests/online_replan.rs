@@ -16,7 +16,7 @@ mod common;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use flumina::api::Backend;
+use flumina::api::{Backend, CheckpointStore as _};
 use flumina::apps::page_view::{PageViewJoin, PvTag};
 use flumina::apps::sweep::{PvForestWorkload, SweepWorkload};
 use flumina::apps::value_barrier::{ValueBarrier, VbWorkload};
@@ -250,15 +250,15 @@ fn forest_replans_one_partition_without_touching_siblings() {
             );
             if root != target {
                 // Sibling partitions never notice the reconfiguration.
-                store.extend(full.checkpoints.into_iter().map(|(_, s, t)| (root, s, t)));
+                store.extend(full.checkpoints.into_iter().map(|(_, s, t)| (root, s, t))).unwrap();
                 outputs.extend(full.outputs);
                 continue;
             }
             // Stop the target at its second checkpoint and switch plans.
             let (_, snapshot, cut_ts) = full.checkpoints[1].clone();
-            store.extend(
-                full.checkpoints.iter().take(2).map(|(_, s, t)| (root, s.clone(), *t)),
-            );
+            store
+                .extend(full.checkpoints.iter().take(2).map(|(_, s, t)| (root, s.clone(), *t)))
+                .unwrap();
             outputs.extend(full.outputs.into_iter().filter(|(_, ts)| *ts <= cut_ts));
             let itags: Vec<_> = part.iter().map(|s| s.itag).collect();
             let plan2 = if candidate == 0 {
@@ -276,7 +276,7 @@ fn forest_replans_one_partition_without_touching_siblings() {
                     ..Default::default()
                 },
             );
-            store.extend(resumed.checkpoints.into_iter().map(|(_, s, t)| (root, s, t)));
+            store.extend(resumed.checkpoints.into_iter().map(|(_, s, t)| (root, s, t))).unwrap();
             outputs.extend(resumed.outputs);
         }
         let mut got: Vec<String> = outputs.iter().map(|(o, _)| format!("{o:?}")).collect();
