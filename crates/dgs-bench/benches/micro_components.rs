@@ -1,6 +1,8 @@
 //! Component microbenchmarks: mailbox release path, optimizer, wire
 //! semantics — the ablation targets called out in DESIGN.md.
 
+use std::collections::VecDeque;
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dgs_core::event::{Event, StreamId};
 use dgs_core::examples::{KcTag, KeyCounter};
@@ -10,23 +12,39 @@ use dgs_plan::optimizer::{CommMinOptimizer, ITagInfo, Optimizer};
 use dgs_plan::plan::Location;
 use dgs_runtime::mailbox::{Entry, Mailbox};
 
+/// The values-and-barriers mailbox both release-path benches drive.
+fn vb_mailbox() -> Mailbox<char, u64> {
+    let tags = [ITag::new('v', StreamId(0)), ITag::new('b', StreamId(1))];
+    Mailbox::new(tags, tags, |a, b| matches!((a, b), ('v', 'b') | ('b', 'v') | ('b', 'b')))
+}
+
+/// 10 000 values with a barrier every 100.
+fn vb_entries() -> impl Iterator<Item = Entry<char, u64>> {
+    (1..=10_000u64).flat_map(|ts| {
+        let value = Entry::Event(Event::new('v', StreamId(0), ts, ts));
+        let barrier = (ts % 100 == 0).then(|| Entry::Event(Event::new('b', StreamId(1), ts, 0)));
+        std::iter::once(value).chain(barrier)
+    })
+}
+
 fn mailbox_release_path(c: &mut Criterion) {
+    // The owned-return wrapper: a fresh `Vec` per call.
     c.bench_function("mailbox_10k_values_with_barriers", |b| {
         b.iter(|| {
-            let tags = [ITag::new('v', StreamId(0)), ITag::new('b', StreamId(1))];
-            let mut mb: Mailbox<char, u64> = Mailbox::new(tags, tags, |a, b| {
-                matches!((a, b), ('v', 'b') | ('b', 'v') | ('b', 'b'))
-            });
+            let mut mb = vb_mailbox();
+            vb_entries().map(|e| mb.insert(e).len()).sum::<usize>()
+        })
+    });
+    // What a worker does: releases appended to one reused queue.
+    c.bench_function("mailbox_10k_values_with_barriers_into_reused_sink", |b| {
+        let mut sink = VecDeque::new();
+        b.iter(|| {
+            let mut mb = vb_mailbox();
             let mut released = 0usize;
-            for ts in 1..=10_000u64 {
-                released += mb
-                    .insert(Entry::Event(Event::new('v', StreamId(0), ts, ts)))
-                    .len();
-                if ts % 100 == 0 {
-                    released += mb
-                        .insert(Entry::Event(Event::new('b', StreamId(1), ts, 0)))
-                        .len();
-                }
+            for e in vb_entries() {
+                mb.insert_into(e, &mut sink);
+                released += sink.len();
+                sink.clear();
             }
             released
         })

@@ -19,8 +19,52 @@
 //!
 //! Releasing an event adds its dependents to a workset and the check
 //! cascades until the workset drains.
+//!
+//! # The tag index
+//!
+//! The tag set is fixed at construction, so [`Mailbox::new`] interns it
+//! into one sorted, de-duplicated table and everything else — buffers,
+//! timers, the dependence rows, the `own` flags — is a `Vec` indexed by a
+//! tag's position in that table ([`Mailbox::position`]). Looking a tag up
+//! compares borrowed `(&tag, stream)` pairs: the previous hit first (runs
+//! of one tag are the common case), then a binary search; nothing is
+//! cloned and nothing is allocated per entry. A dependence row lists the
+//! dependent positions in table order and keeps the self-loop of a
+//! self-dependent tag.
+//!
+//! # Release on arrival
+//!
+//! An arriving entry whose own buffer is empty *is* that buffer's head,
+//! so the two conditions can be checked before it is stored. When they
+//! hold it is appended to the caller's queue directly; buffering it only
+//! to pop it again would release it at the same point. A follow-up
+//! cascade then runs only when something is buffered at all, seeded with
+//! the entry's dependents — what the buffer-then-cascade formulation's
+//! workset holds right after it releases that entry (less the entry's
+//! own tag, whose buffer is empty).
+//!
+//! The order of releases is unchanged. Before the arriving entry
+//! leaves, every dependent head has a *larger* key (that is condition 2
+//! of the arrival, and keys are distinct because timestamps strictly
+//! increase along a stream) and is blocked on it by its own condition 2
+//! (dependence is symmetric), so buffer-then-cascade would have tried
+//! those heads in vain, released the arrival first, and continued from
+//! that same workset. With distinct keys the follow-up cascade in fact
+//! finds nothing: the arrival changed only its own tag's timer, to its
+//! own key, which is still below every dependent head's. It is there
+//! for the tie a well-formed input never contains — a dependent head
+//! with the *same* key becomes releasable at that moment, and must not
+//! be left sitting in a mailbox that claims to be at its fixpoint.
+//!
+//! # `_into` forms
+//!
+//! [`Mailbox::insert_into`] and [`Mailbox::heartbeat_into`] append the
+//! releases to a queue the caller owns and reuses (a worker's `pending`
+//! queue), and the cascade's workset is a reused field, so the steady
+//! state allocates nothing. [`Mailbox::insert`] and
+//! [`Mailbox::heartbeat`] are the same calls returning an owned `Vec`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use dgs_core::event::{Event, Heartbeat, OrderKey, StreamId, Timestamp};
 use dgs_core::tag::{ITag, Tag};
@@ -42,12 +86,12 @@ pub enum Entry<T, P> {
     },
 }
 
-impl<T: Tag, P> Entry<T, P> {
-    /// Implementation tag of the entry.
-    pub fn itag(&self) -> ITag<T> {
+impl<T, P> Entry<T, P> {
+    /// The entry's tag, borrowed.
+    pub fn tag(&self) -> &T {
         match self {
-            Entry::Event(e) => e.itag(),
-            Entry::JoinRequest { tag, stream, .. } => ITag::new(tag.clone(), *stream),
+            Entry::Event(e) => &e.tag,
+            Entry::JoinRequest { tag, .. } => tag,
         }
     }
 
@@ -57,6 +101,13 @@ impl<T: Tag, P> Entry<T, P> {
             Entry::Event(e) => e.order_key(),
             Entry::JoinRequest { stream, ts, .. } => OrderKey { ts: *ts, stream: *stream },
         }
+    }
+}
+
+impl<T: Tag, P> Entry<T, P> {
+    /// Implementation tag of the entry.
+    pub fn itag(&self) -> ITag<T> {
+        ITag::new(self.tag().clone(), self.order_key().stream)
     }
 }
 
@@ -79,18 +130,28 @@ impl<T: Tag, P> Entry<T, P> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Mailbox<T: Tag, P> {
+    /// The tag index: every accepted tag, sorted and de-duplicated. The
+    /// vectors below are indexed by position in this table.
+    tags: Vec<ITag<T>>,
     /// Pending entries per tag, in `O` order (arrival order per tag).
-    buffers: BTreeMap<ITag<T>, VecDeque<Entry<T, P>>>,
+    buffers: Vec<VecDeque<Entry<T, P>>>,
     /// Latest observed `O` position per tag.
-    timers: BTreeMap<ITag<T>, OrderKey>,
-    /// Dependence adjacency *within this mailbox's tag set*, including
-    /// self-loops for self-dependent tags.
-    deps: BTreeMap<ITag<T>, Vec<ITag<T>>>,
-    /// Tags whose proper events arrive at this mailbox directly (the
-    /// worker's own responsibility). The other tags belong to ancestors:
-    /// only join requests and heartbeats carry them, pre-ordered by the
-    /// parent edge.
-    own: std::collections::BTreeSet<ITag<T>>,
+    timers: Vec<OrderKey>,
+    /// Dependence adjacency *within this mailbox's tag set*, in table
+    /// order, including self-loops for self-dependent tags.
+    deps: Vec<Vec<usize>>,
+    /// Whether proper events of the tag arrive at this mailbox directly
+    /// (the worker's own responsibility). The other tags belong to
+    /// ancestors: only join requests and heartbeats carry them,
+    /// pre-ordered by the parent edge.
+    own: Vec<bool>,
+    /// Entries across all buffers.
+    buffered: usize,
+    /// Position the previous insert or heartbeat resolved to.
+    last_hit: usize,
+    /// The cascade's workset: seeded by a call, drained by its cascade,
+    /// so empty between calls and kept only for its capacity.
+    workset: Vec<usize>,
 }
 
 impl<T: Tag, P: Clone> Mailbox<T, P> {
@@ -99,51 +160,74 @@ impl<T: Tag, P: Clone> Mailbox<T, P> {
     /// `relevant` must contain every implementation tag this mailbox will
     /// ever receive (the worker's own tags plus its ancestors'), and
     /// `own` the subset the worker is responsible for; receiving an
-    /// unknown tag panics, as it indicates a routing bug.
+    /// unknown tag panics, as it indicates a routing bug. A tag listed
+    /// more than once counts once.
     pub fn new(
         relevant: impl IntoIterator<Item = ITag<T>>,
         own: impl IntoIterator<Item = ITag<T>>,
         depends: impl Fn(&T, &T) -> bool,
     ) -> Self {
-        let tags: Vec<ITag<T>> = relevant.into_iter().collect();
-        let own: std::collections::BTreeSet<ITag<T>> = own.into_iter().collect();
-        let mut deps: BTreeMap<ITag<T>, Vec<ITag<T>>> = BTreeMap::new();
-        for a in &tags {
-            let mut row = Vec::new();
-            for b in &tags {
-                if depends(&a.tag, &b.tag) {
-                    row.push(b.clone());
-                }
+        let mut tags: Vec<ITag<T>> = relevant.into_iter().collect();
+        tags.sort();
+        tags.dedup();
+        let deps = tags
+            .iter()
+            .map(|a| (0..tags.len()).filter(|&b| depends(&a.tag, &tags[b].tag)).collect())
+            .collect();
+        let mut own_flags = vec![false; tags.len()];
+        for t in own {
+            if let Ok(i) = tags.binary_search(&t) {
+                own_flags[i] = true;
             }
-            deps.insert(a.clone(), row);
         }
         let zero = OrderKey { ts: 0, stream: StreamId(0) };
         Mailbox {
-            buffers: tags.iter().map(|t| (t.clone(), VecDeque::new())).collect(),
-            timers: tags.iter().map(|t| (t.clone(), zero)).collect(),
+            buffers: tags.iter().map(|_| VecDeque::new()).collect(),
+            timers: vec![zero; tags.len()],
             deps,
-            own,
+            own: own_flags,
+            buffered: 0,
+            last_hit: 0,
+            workset: Vec::new(),
+            tags,
         }
     }
 
-    /// Tags this mailbox accepts.
-    pub fn tags(&self) -> impl Iterator<Item = &ITag<T>> {
-        self.buffers.keys()
+    /// The tag index: every tag this mailbox accepts, sorted. A tag's
+    /// position here is what [`position`](Self::position) returns.
+    pub fn tags(&self) -> &[ITag<T>] {
+        &self.tags
+    }
+
+    /// Position of `(tag, stream)` in the tag index, `None` for a tag
+    /// this mailbox does not track.
+    pub fn position(&self, tag: &T, stream: StreamId) -> Option<usize> {
+        let is = |t: &ITag<T>| t.stream == stream && t.tag == *tag;
+        if self.tags.get(self.last_hit).is_some_and(is) {
+            return Some(self.last_hit);
+        }
+        self.tags.binary_search_by(|t| t.tag.cmp(tag).then(t.stream.cmp(&stream))).ok()
     }
 
     /// Number of buffered entries across all tags.
     pub fn buffered(&self) -> usize {
-        self.buffers.values().map(|b| b.len()).sum()
+        self.buffered
     }
 
-    /// `O`-position of the earliest *still-buffered* entry of `itag`
-    /// (`None` when the tag is unknown or its buffer is empty). Buffers
-    /// are FIFO in `O` order per tag, so this is the front entry's key.
-    /// Heartbeat forwarding uses it as the per-tag ceiling: a worker must
-    /// never promise its subtree a tag position it still holds unreleased
+    /// `O`-position of the earliest *still-buffered* entry of the tag at
+    /// `position` (`None` when its buffer is empty). Buffers are FIFO in
+    /// `O` order per tag, so this is the front entry's key. Heartbeat
+    /// forwarding uses it as the per-tag ceiling: a worker must never
+    /// promise its subtree a tag position it still holds unreleased
     /// entries below.
+    pub fn earliest_buffered_at(&self, position: usize) -> Option<OrderKey> {
+        self.buffers[position].front().map(Entry::order_key)
+    }
+
+    /// [`earliest_buffered_at`](Self::earliest_buffered_at) by tag
+    /// (`None` also when the tag is unknown).
     pub fn earliest_buffered(&self, itag: &ITag<T>) -> Option<OrderKey> {
-        self.buffers.get(itag)?.front().map(Entry::order_key)
+        self.earliest_buffered_at(self.position(&itag.tag, itag.stream)?)
     }
 
     /// Current timer watermark per tag: the latest `O` position observed
@@ -151,8 +235,9 @@ impl<T: Tag, P: Clone> Mailbox<T, P> {
     /// timers (never advanced) are skipped. Used by elastic migration to
     /// replay watermarks onto a successor mailbox as heartbeats.
     pub fn timers(&self) -> Vec<(ITag<T>, Timestamp)> {
-        self.timers
+        self.tags
             .iter()
+            .zip(&self.timers)
             .filter(|(_, k)| k.ts > 0)
             .map(|(t, k)| (t.clone(), k.ts))
             .collect()
@@ -162,92 +247,121 @@ impl<T: Tag, P: Clone> Mailbox<T, P> {
     /// reset the buffers. Timers are left untouched. Used by elastic
     /// migration to carry unprocessed entries to a successor mailbox.
     pub fn take_buffered(&mut self) -> Vec<Entry<T, P>> {
-        let mut out = Vec::new();
-        for buf in self.buffers.values_mut() {
+        let mut out = Vec::with_capacity(self.buffered);
+        for buf in &mut self.buffers {
             out.extend(buf.drain(..));
         }
+        self.buffered = 0;
         out
     }
 
     /// Insert an entry; returns every entry that becomes releasable, in
     /// release order.
     pub fn insert(&mut self, entry: Entry<T, P>) -> Vec<Entry<T, P>> {
-        let itag = entry.itag();
-        let key = entry.order_key();
-        self.advance_timer(&itag, key);
-        let buf = self
-            .buffers
-            .get_mut(&itag)
-            .unwrap_or_else(|| panic!("mailbox received unrouted tag {itag:?}"));
-        debug_assert!(
-            buf.back().is_none_or(|last| last.order_key() < key),
-            "per-tag arrival order violated for {itag:?}"
-        );
-        buf.push_back(entry);
-        self.cascade(itag)
+        let mut out = VecDeque::new();
+        self.insert_into(entry, &mut out);
+        out.into()
     }
 
     /// Observe a heartbeat: advance the tag's timer (no buffering) and
     /// release anything that unblocks.
     pub fn heartbeat(&mut self, hb: &Heartbeat<T>) -> Vec<Entry<T, P>> {
-        let itag = hb.itag();
-        if !self.buffers.contains_key(&itag) {
-            // Heartbeats are broadcast down the worker tree; a descendant
-            // may legitimately receive one for a tag it does not track
-            // (e.g. after plans with empty coordinators). Ignore.
-            return Vec::new();
-        }
-        self.advance_timer(&itag, OrderKey { ts: hb.ts, stream: hb.stream });
-        self.cascade(itag)
+        let mut out = VecDeque::new();
+        let _ = self.heartbeat_into(hb, &mut out);
+        out.into()
     }
 
-    fn advance_timer(&mut self, itag: &ITag<T>, key: OrderKey) {
-        if let Some(t) = self.timers.get_mut(itag) {
-            if key > *t {
-                *t = key;
+    /// [`insert`](Self::insert), appending the releases to `out`.
+    pub fn insert_into(&mut self, entry: Entry<T, P>, out: &mut VecDeque<Entry<T, P>>) {
+        let key = entry.order_key();
+        let Some(i) = self.position(entry.tag(), key.stream) else {
+            panic!("mailbox received unrouted tag {:?}", entry.itag())
+        };
+        self.last_hit = i;
+        if key > self.timers[i] {
+            self.timers[i] = key;
+        }
+        debug_assert!(
+            self.buffers[i].back().is_none_or(|last| last.order_key() < key),
+            "per-tag arrival order violated for {:?}",
+            self.tags[i]
+        );
+        let is_join = matches!(entry, Entry::JoinRequest { .. });
+        if self.buffers[i].is_empty() && self.releasable(i, key, is_join) {
+            // Release on arrival (module docs).
+            out.push_back(entry);
+            if self.buffered == 0 {
+                return;
             }
+            self.workset.extend_from_slice(&self.deps[i]);
+        } else {
+            self.buffers[i].push_back(entry);
+            self.buffered += 1;
+            self.workset.push(i);
+            self.workset.extend_from_slice(&self.deps[i]);
         }
+        self.cascade(out);
     }
 
-    /// The §3.4 cascading release: start from the tags dependent on the
-    /// tag that changed, releasing head entries whose conditions hold;
-    /// each release re-awakens its dependents.
-    fn cascade(&mut self, origin: ITag<T>) -> Vec<Entry<T, P>> {
-        let mut released = Vec::new();
-        let mut workset: Vec<ITag<T>> = vec![origin.clone()];
-        if let Some(ds) = self.deps.get(&origin) {
-            workset.extend(ds.iter().cloned());
+    /// [`heartbeat`](Self::heartbeat), appending the releases to `out`.
+    /// Returns the heartbeat's tag position, `None` for a tag this
+    /// mailbox does not track: heartbeats are broadcast down the worker
+    /// tree, so a descendant may legitimately receive one (e.g. after
+    /// plans with empty coordinators), and ignores it.
+    pub fn heartbeat_into(
+        &mut self,
+        hb: &Heartbeat<T>,
+        out: &mut VecDeque<Entry<T, P>>,
+    ) -> Option<usize> {
+        let i = self.position(&hb.tag, hb.stream)?;
+        self.last_hit = i;
+        let key = OrderKey { ts: hb.ts, stream: hb.stream };
+        if key > self.timers[i] {
+            self.timers[i] = key;
         }
-        while let Some(tag) = workset.pop() {
-            while let Some(entry) = self.try_release_head(&tag) {
+        if self.buffered > 0 {
+            self.workset.push(i);
+            self.workset.extend_from_slice(&self.deps[i]);
+            self.cascade(out);
+        }
+        Some(i)
+    }
+
+    /// The §3.4 cascading release over the seeded workset: release head
+    /// entries whose conditions hold; each release re-awakens its
+    /// dependents.
+    fn cascade(&mut self, out: &mut VecDeque<Entry<T, P>>) {
+        while let Some(t) = self.workset.pop() {
+            while let Some(head) = self.buffers[t].front() {
+                let is_join = matches!(head, Entry::JoinRequest { .. });
+                if !self.releasable(t, head.order_key(), is_join) {
+                    break;
+                }
+                let entry = self.buffers[t].pop_front().expect("head checked above");
+                self.buffered -= 1;
                 // Entries released: their dependents may unblock next.
-                if let Some(ds) = self.deps.get(&tag) {
-                    for d in ds {
-                        if !workset.contains(d) {
-                            workset.push(d.clone());
-                        }
+                for &d in &self.deps[t] {
+                    if !self.workset.contains(&d) {
+                        self.workset.push(d);
                     }
                 }
-                if !workset.contains(&tag) {
-                    workset.push(tag.clone());
+                if !self.workset.contains(&t) {
+                    self.workset.push(t);
                 }
-                released.push(entry);
+                out.push_back(entry);
             }
         }
-        released
     }
 
-    /// Release the head entry of `tag`'s buffer if both §3.4 conditions
-    /// hold.
-    fn try_release_head(&mut self, tag: &ITag<T>) -> Option<Entry<T, P>> {
-        let head = self.buffers.get(tag)?.front()?;
-        let head_key = head.order_key();
-        let head_is_join = matches!(head, Entry::JoinRequest { .. });
-        for dep in self.deps.get(tag).into_iter().flatten() {
-            if dep == tag {
-                // Same tag: the head is by definition the earliest; its
-                // in-order release is guaranteed by the per-tag buffer.
-                continue;
+    /// Whether both §3.4 conditions hold for an entry of the tag at `t`
+    /// with `O`-position `key` that is (or, on arrival, would be) the
+    /// head of its buffer.
+    fn releasable(&self, t: usize, key: OrderKey, is_join: bool) -> bool {
+        self.deps[t].iter().all(|&d| {
+            // Same tag: the head is by definition the earliest; its
+            // in-order release is guaranteed by the per-tag buffer.
+            if d == t {
+                return true;
             }
             // Condition 1: the dependent tag's timer has passed the
             // entry — except when releasing a *join request* against an
@@ -256,18 +370,13 @@ impl<T: Tag, P: Clone> Mailbox<T, P> {
             // dependence order, so waiting on that timer (fed only by
             // heartbeats the ancestor is still holding back) would
             // deadlock.
-            let skip_timer = head_is_join && !self.own.contains(dep);
-            if !skip_timer && self.timers[dep] < head_key {
-                return None;
+            let skip_timer = is_join && !self.own[d];
+            if !skip_timer && self.timers[d] < key {
+                return false;
             }
             // Condition 2: no earlier dependent entry is still buffered.
-            if let Some(other) = self.buffers[dep].front() {
-                if other.order_key() < head_key {
-                    return None;
-                }
-            }
-        }
-        self.buffers.get_mut(tag).unwrap().pop_front()
+            self.buffers[d].front().is_none_or(|other| other.order_key() >= key)
+        })
     }
 }
 

@@ -27,11 +27,23 @@ const SHARD_FLUSH_EVERY: u64 = 64;
 /// Panic payloads captured from worker tasks, re-raised by the driver.
 pub(super) type PanicList = Mutex<Vec<Box<dyn Any + Send>>>;
 
-/// One shard's run queue: worker ids ready to be polled, plus the
-/// condvar an idle shard parks on.
+/// One shard's run queue, plus the condvar an idle shard parks on.
 struct ShardQueue {
-    queue: Mutex<VecDeque<usize>>,
+    queue: Mutex<ReadyList>,
     ready: Condvar,
+}
+
+/// What the run-queue mutex guards.
+#[derive(Default)]
+struct ReadyList {
+    /// Worker ids ready to be polled.
+    ids: VecDeque<usize>,
+    /// The shard is waiting on `ready` (or about to: the flag is set and
+    /// cleared under the lock, around the wait). A waker reads it under
+    /// the same lock and skips the notify when nobody waits — most
+    /// wake-ups are a shard readying a task on itself, and std's condvar
+    /// makes every notify a futex syscall.
+    parked: bool,
 }
 
 /// The executor's shared scheduling state. Wakers capture an
@@ -64,7 +76,10 @@ impl Scheduler {
     pub(super) fn new(placement: &[usize], shards: usize, live: usize) -> Scheduler {
         Scheduler {
             shards: (0..shards)
-                .map(|_| ShardQueue { queue: Mutex::new(VecDeque::new()), ready: Condvar::new() })
+                .map(|_| ShardQueue {
+                    queue: Mutex::new(ReadyList::default()),
+                    ready: Condvar::new(),
+                })
                 .collect(),
             shard_of: placement.iter().map(|&s| AtomicUsize::new(s)).collect(),
             scheduled: placement.iter().map(|_| AtomicBool::new(false)).collect(),
@@ -98,12 +113,21 @@ impl Scheduler {
     }
 
     /// Mark worker `w` ready: enqueue it on its current shard unless it
-    /// is already scheduled or queued.
+    /// is already scheduled or queued, and notify that shard if it is
+    /// parked. The push and the `parked` read share one critical
+    /// section with `park`'s emptiness check and flag store, so a shard
+    /// either sees the id before it waits or is seen waiting.
     pub(super) fn wake(&self, w: usize) {
         if !self.scheduled[w].swap(true, Ordering::SeqCst) {
             let sq = &self.shards[self.shard_of[w].load(Ordering::SeqCst)];
-            sq.queue.lock().expect("shard run queue poisoned").push_back(w);
-            sq.ready.notify_one();
+            let parked = {
+                let mut q = sq.queue.lock().expect("shard run queue poisoned");
+                q.ids.push_back(w);
+                q.parked
+            };
+            if parked {
+                sq.ready.notify_one();
+            }
         }
     }
 
@@ -150,12 +174,14 @@ impl Scheduler {
     /// whichever happens to sit next in the ring. The flag reports a
     /// steal.
     fn next_ready(&self, s: usize) -> Option<(usize, bool)> {
-        let pop_front = self.shards[s].queue.lock().expect("shard run queue poisoned").pop_front();
+        let pop_front =
+            self.shards[s].queue.lock().expect("shard run queue poisoned").ids.pop_front();
         if let Some(w) = pop_front {
             return Some((w, false));
         }
         for v in self.steal_order(s) {
-            let pop_back = self.shards[v].queue.lock().expect("shard run queue poisoned").pop_back();
+            let pop_back =
+                self.shards[v].queue.lock().expect("shard run queue poisoned").ids.pop_back();
             if let Some(w) = pop_back {
                 self.shard_of[w].store(s, Ordering::SeqCst);
                 return Some((w, true));
@@ -168,10 +194,12 @@ impl Scheduler {
     /// wakeup lands on the condvar, but stealable work queued elsewhere
     /// does not, so the caller re-scans periodically.
     fn park(&self, s: usize) {
-        let q = self.shards[s].queue.lock().expect("shard run queue poisoned");
-        if q.is_empty() && self.live.load(Ordering::SeqCst) != 0 && !self.has_failed() {
-            let _ =
-                self.shards[s].ready.wait_timeout(q, IDLE_PARK).expect("shard run queue poisoned");
+        let sq = &self.shards[s];
+        let mut q = sq.queue.lock().expect("shard run queue poisoned");
+        if q.ids.is_empty() && self.live.load(Ordering::SeqCst) != 0 && !self.has_failed() {
+            q.parked = true;
+            (q, _) = sq.ready.wait_timeout(q, IDLE_PARK).expect("shard run queue poisoned");
+            q.parked = false;
         }
     }
 }
@@ -235,7 +263,7 @@ pub(super) fn run_shard<Prog: DgsProgram>(s: usize, run: &RunShared<Prog>) {
             sm.polls.set(polls);
             sm.steals.set(steals);
             sm.batch_msgs.set(batch_msgs);
-            let depth = sched.shards[s].queue.lock().map(|q| q.len()).unwrap_or(0) as u64;
+            let depth = sched.shards[s].queue.lock().map(|q| q.ids.len()).unwrap_or(0) as u64;
             sm.run_queue_depth.set(depth);
             sm.run_queue_depth_max.ratchet(depth);
         }

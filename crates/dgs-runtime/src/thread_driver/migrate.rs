@@ -344,9 +344,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
     /// whatever it emitted and reschedule the worker.
     fn cancel_hold(&self, root_slot: usize) {
         if let Some(task) = self.run.lock_slot(root_slot).as_mut() {
-            task.hold_gate = None;
-            let fx = task.core.cancel_hold();
-            task.route_effects(fx);
+            task.cancel_hold();
         }
         self.run.sched.wake(root_slot);
     }
@@ -477,9 +475,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
             }
         }
         while let Some((lid, wm)) = q.pop_front() {
-            let task = &mut tasks[lid.0];
-            let fx = task.handle(wm);
-            q.extend(task.keep_effects(fx));
+            tasks[lid.0].pump(wm, &mut q);
         }
         Rebuilt { slots, handles: wired.handles, tasks }
     }

@@ -62,9 +62,12 @@
 //! Termination uses **one in-flight message counter per plan partition**
 //! (forest plans run one independent tree per root; the fork/join
 //! protocol never crosses trees): every send increments the destination
-//! partition's counter before the message enters a queue and every
-//! handled message decrements it afterwards, so a counter reads zero only
-//! at that partition's quiescence once its sources have finished. The
+//! partition's counter before the message enters a queue, and a worker
+//! retires the credits of a claimed batch with one decrement *after* it
+//! has handled the whole batch. Whatever those messages sent was credited
+//! at the send, before that decrement, so the counter is never below the
+//! number of messages queued or being handled: it reads zero only at
+//! that partition's quiescence once its sources have finished. The
 //! driver thread blocks on each partition's condvar in turn — partitions
 //! drain independently, there is no polling loop anywhere on the
 //! termination path, and a surrendered message (see below) re-credits

@@ -14,7 +14,7 @@ use dgs_plan::plan::WorkerId;
 use super::migrate::HoldGate;
 use super::wiring::{send_credited, InFlight, Inbox, Msg, Routes, ThreadMsg};
 use super::RunEffects;
-use crate::worker::{StepEffects, WorkerCore, WorkerMsg};
+use crate::worker::{Effects, WorkerCore, WorkerMsg};
 
 /// What one scheduling turn of a worker observed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,6 +103,12 @@ where
     routes: Routes<Prog>,
     in_flight: Arc<InFlight>,
     env: TaskEnv,
+    /// The one effects buffer every message of this task is handled
+    /// into: filled by [`handle`](Self::handle), emptied by
+    /// [`keep_effects`](Self::keep_effects) and whoever takes the
+    /// messages, so its capacity is reused and it is empty between
+    /// messages.
+    fx: Effects<Prog>,
     // Outputs and checkpoints stay task-local until the task retires
     // ([`Retired::take`]): nothing on the per-output path is shared.
     outputs: Vec<Stamped<Prog::Out>>,
@@ -140,6 +146,7 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
             routes,
             in_flight,
             env,
+            fx: Effects::<Prog>::default(),
             outputs: Vec::new(),
             checkpoints: Vec::new(),
             msgs: 0,
@@ -157,7 +164,11 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
 
     /// Drain up to `budget` messages from the inbox, claiming them in
     /// batches so the per-message channel overhead (one claim-counter
-    /// RMW, one lock round-trip per edge) is paid once per batch.
+    /// RMW, one lock round-trip per edge) is paid once per batch — and
+    /// so is the in-flight accounting: a claimed batch's credits are
+    /// retired with one `sub` after the batch. Everything the batch
+    /// sent was credited when it was sent, before that `sub`, so the
+    /// partition counter still cannot read zero while work is queued.
     pub(super) fn poll(&mut self, budget: usize) -> TaskPoll {
         let mut left = budget;
         while left > 0 {
@@ -169,24 +180,27 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
                 Ok(n) => n,
             };
             left -= n;
+            let mut handled = 0u64;
             while let Some(msg) = self.buf.pop_front() {
                 match msg {
                     ThreadMsg::Shutdown => {
                         // Shutdown follows quiescence, so the batch
                         // should never hold trailing protocol messages
                         // — but if it does, surrender their in-flight
-                        // credits so quiescence stays reachable.
+                        // credits (with those of the messages handled
+                        // before it) so quiescence stays reachable.
                         let trailing = self
                             .buf
                             .iter()
                             .filter(|m| matches!(m, ThreadMsg::Protocol(_)))
                             .count();
-                        self.in_flight.sub(trailing as u64);
+                        self.in_flight.sub(handled + trailing as u64);
                         self.buf.clear();
                         return TaskPoll::Done;
                     }
                     ThreadMsg::Protocol(wm) => {
                         self.step(wm);
+                        handled += 1;
                         if self.hold_gate.is_some() && self.core.is_held() {
                             // The elastic hold engaged on this step: the
                             // core holds the partition's full state and
@@ -199,52 +213,69 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
                     }
                 }
             }
+            self.in_flight.sub(handled);
         }
         TaskPoll::HasMore
     }
 
-    /// Run one message through the core and tally what it did. Shared
-    /// by [`step`](Self::step) and the elastic controller's migration
-    /// pump, which handles a replan's backlog on tasks not yet installed.
-    pub(super) fn handle(
-        &mut self,
-        wm: ProtocolMsg<Prog>,
-    ) -> StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out> {
+    /// Run one message through the core into the task's effects buffer
+    /// and tally what it did. Shared by [`step`](Self::step) and
+    /// [`pump`](Self::pump).
+    fn handle(&mut self, wm: ProtocolMsg<Prog>) {
         self.msgs += 1;
         let mts = if self.env.metrics.is_some() { msg_ts(&wm) } else { 0 };
-        let fx = self.core.handle(wm);
-        self.updates += fx.updates;
-        self.joins += fx.joins;
-        self.forks += fx.forks;
+        self.fx.clear();
+        self.core.handle_into(wm, &mut self.fx);
+        self.updates += self.fx.updates;
+        self.joins += self.fx.joins;
+        self.forks += self.fx.forks;
         if let Some(m) = &self.env.metrics {
-            if fx.forks > 0 {
+            if self.fx.forks > 0 {
                 m.trace(self.slot, TraceKind::Fork, mts);
             }
-            if fx.joins > 0 {
+            if self.fx.joins > 0 {
                 m.trace(self.slot, TraceKind::Join, mts);
             }
         }
-        fx
     }
 
     /// Handle one protocol message delivered through the inbox.
     fn step(&mut self, wm: ProtocolMsg<Prog>) {
-        let fx = self.handle(wm);
+        self.handle(wm);
         if self.env.metrics.is_some() && self.msgs.is_multiple_of(self.env.flush_every) {
             self.flush_registry();
         }
-        self.route_effects(fx);
-        self.in_flight.dec();
+        self.route_effects();
     }
 
-    /// Keep a step's outputs and checkpoints — each output stamped
-    /// here, where it is produced — and return the protocol messages
-    /// the step wants sent.
-    pub(super) fn keep_effects(
+    /// Handle one message of a replan's backlog on a task not yet
+    /// installed: the elastic controller's migration pump. Same body as
+    /// a [`step`](Self::step), except that the messages it wants sent
+    /// are appended to the pump's local queue `sink` instead of crossing
+    /// an edge (and so carry no in-flight credit).
+    pub(super) fn pump(
         &mut self,
-        fx: StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
-    ) -> Vec<(WorkerId, ProtocolMsg<Prog>)> {
-        for (o, ts) in fx.outputs {
+        wm: ProtocolMsg<Prog>,
+        sink: &mut VecDeque<(WorkerId, ProtocolMsg<Prog>)>,
+    ) {
+        self.handle(wm);
+        self.keep_effects();
+        sink.extend(self.fx.msgs.drain(..));
+    }
+
+    /// Abandon an elastic hold (timeout or aborted replan): the
+    /// cancellation adopts the buffered backlog, and its effects must
+    /// flow exactly like a step's.
+    pub(super) fn cancel_hold(&mut self) {
+        self.hold_gate = None;
+        self.fx = self.core.cancel_hold();
+        self.route_effects();
+    }
+
+    /// Move the buffered step's outputs and checkpoints into the task's
+    /// own buffers, each output stamped here, where it is produced.
+    fn keep_effects(&mut self) {
+        for (o, ts) in self.fx.outputs.drain(..) {
             let at = Instant::now();
             if let Some(m) = &self.env.metrics {
                 m.outputs.inc();
@@ -254,37 +285,31 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
             }
             self.outputs.push((o, ts, at));
         }
-        for (state, ts) in fx.checkpoints {
+        for (state, ts) in self.fx.checkpoints.drain(..) {
             if let Some(m) = &self.env.metrics {
                 m.trace(self.slot, TraceKind::Checkpoint, ts);
             }
             self.checkpoints.push((state, ts));
         }
-        fx.msgs
     }
 
-    /// Deliver a step's effects: protocol messages to peers, outputs and
-    /// checkpoints into the task's buffers. Also used by the elastic
-    /// controller when it cancels a hold — the cancellation adopts the
-    /// buffered backlog and its effects must flow exactly like a step's.
-    pub(super) fn route_effects(
-        &mut self,
-        fx: StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
-    ) {
+    /// Deliver the buffered step's effects: outputs and checkpoints into
+    /// the task's buffers, protocol messages to peers.
+    fn route_effects(&mut self) {
+        self.keep_effects();
         // Route in destination runs: consecutive messages to one worker
         // travel as one batched enqueue (one credit publish, one
-        // wakeup). Order per edge is preserved; that is the only order
-        // the protocol needs.
-        let mut iter = self.keep_effects(fx).into_iter().peekable();
-        while let Some((dst, m)) = iter.next() {
-            let mut run = vec![ThreadMsg::Protocol(m)];
-            while let Some((_, m2)) = iter.next_if(|(d2, _)| *d2 == dst) {
-                run.push(ThreadMsg::Protocol(m2));
-            }
+        // wakeup), each run sent straight out of the drained buffer.
+        // Order per edge is preserved; that is the only order the
+        // protocol needs.
+        let mut rest = self.fx.msgs.drain(..);
+        while let Some(&(dst, _)) = rest.as_slice().first() {
+            let run = rest.as_slice().iter().take_while(|(d, _)| *d == dst).count();
             let Some(tx) = self.routes[dst.0].as_ref() else {
                 panic!("no edge to worker {dst}: plan routing bug");
             };
-            send_credited(&self.in_flight, tx, run.into_iter());
+            let run = rest.by_ref().take(run).map(|(_, m)| ThreadMsg::Protocol(m));
+            send_credited(&self.in_flight, tx, run);
         }
     }
 

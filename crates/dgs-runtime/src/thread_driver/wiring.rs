@@ -151,14 +151,14 @@ pub(super) fn send_credited<M>(
 
 /// In-flight message counter with a condvar signalled at zero.
 ///
-/// `add`/`dec` are single atomic RMWs on the hot path; the mutex and
-/// condvar are touched only by the final decrement of a burst and by the
-/// waiting driver thread. The counter transiently hitting zero mid-run
-/// (all messages of a window handled before the sources emit the next)
-/// wakes the driver spuriously, but the driver only starts waiting after
-/// every source has finished, at which point zero means global
-/// quiescence — the same protocol the old 200 µs sleep-poll implemented,
-/// minus the polling.
+/// `add`/`sub` are single atomic RMWs, paid once per sent run and once
+/// per handled batch; the mutex and condvar are touched only by the
+/// final decrement of a burst and by the waiting driver thread. The
+/// counter transiently hitting zero mid-run (all messages of a window
+/// handled before the sources emit the next) wakes the driver
+/// spuriously, but the driver only starts waiting after every source has
+/// finished, at which point zero means global quiescence — the same
+/// protocol the old 200 µs sleep-poll implemented, minus the polling.
 pub(super) struct InFlight {
     count: AtomicI64,
     /// A worker thread died mid-panic: credits it accepted will never be
@@ -188,10 +188,6 @@ impl InFlight {
 
     pub(super) fn add(&self, n: u64) {
         self.count.fetch_add(n as i64, Ordering::SeqCst);
-    }
-
-    pub(super) fn dec(&self) {
-        self.sub(1);
     }
 
     /// Retire `n` messages (handled, or surrendered because the

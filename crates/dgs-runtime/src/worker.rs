@@ -17,6 +17,25 @@
 //! Drivers deliver [`WorkerMsg`]s and route the produced
 //! [`StepEffects::msgs`]; delivery must be FIFO per worker pair and
 //! lossless (assumption 4 of the paper's Theorem 3.5).
+//!
+//! # The per-message path
+//!
+//! [`WorkerCore::handle_into`] appends to a [`StepEffects`] the driver
+//! owns and reuses; the mailbox releases straight onto the core's
+//! `pending` queue ([`Mailbox::insert_into`]); `update` writes into a
+//! scratch vector the core keeps. A handled message therefore allocates
+//! only what the program's own `update` / `fork` / `join` do
+//! (`tests/hot_path_allocs.rs`). [`WorkerCore::handle`] is the same call
+//! returning a fresh `StepEffects`.
+//!
+//! Everything an internal worker keeps *per tag* — the heartbeat
+//! watermarks `hb_pending` / `hb_forwarded` and the `pending_ts` mirror
+//! of the pending queue — is a `Vec` indexed by the tag's position in
+//! the mailbox's tag index ([`Mailbox::position`]), walked in that
+//! (sorted) order when heartbeats are flushed; a leaf keeps none of it.
+//! A heartbeat for a tag the mailbox does not track has no position and
+//! no frontier here: an internal worker still forwards it to its
+//! children, as it came.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -99,6 +118,9 @@ enum Mode<T, P, S> {
 }
 
 /// Side effects of handling one message.
+///
+/// Drivers keep one per worker and [`clear`](Self::clear) it between
+/// messages, so the vectors' capacity is reused.
 #[derive(Debug)]
 pub struct StepEffects<T, P, S, Out> {
     /// Messages to route to other workers (in order; FIFO per dst).
@@ -129,35 +151,55 @@ impl<T, P, S, Out> Default for StepEffects<T, P, S, Out> {
     }
 }
 
+impl<T, P, S, Out> StepEffects<T, P, S, Out> {
+    /// Empty the effects, keeping the vectors' capacity.
+    pub fn clear(&mut self) {
+        self.msgs.clear();
+        self.outputs.clear();
+        self.checkpoints.clear();
+        (self.updates, self.joins, self.forks) = (0, 0, 0);
+    }
+}
+
+/// The effects type of a program's workers.
+pub type Effects<Prog> = StepEffects<
+    <Prog as DgsProgram>::Tag,
+    <Prog as DgsProgram>::Payload,
+    <Prog as DgsProgram>::State,
+    <Prog as DgsProgram>::Out,
+>;
+
 /// Driver-independent worker state machine.
 pub struct WorkerCore<Prog: DgsProgram> {
     id: WorkerId,
     parent: Option<WorkerId>,
     children: Vec<WorkerId>,
     mailbox: Mailbox<Prog::Tag, Prog::Payload>,
+    /// Entries the mailbox released and this worker has not processed
+    /// yet (it is blocked on a join/fork round-trip, or held).
     pending: VecDeque<Entry<Prog::Tag, Prog::Payload>>,
     mode: Mode<Prog::Tag, Prog::Payload, Prog::State>,
-    /// Per-tag heartbeat watermarks for downward forwarding (internal
-    /// workers only): `hb_pending` is the highest heartbeat position
-    /// received but not yet fully forwarded, `hb_forwarded` the highest
-    /// position already promised to the children. Forwarding is capped at
-    /// the tag's *processing frontier* — strictly below the earliest
-    /// same-tag entry this worker has not yet processed — so a child's
-    /// timer can never overtake a join request that is still upstream.
-    /// This is what makes the protocol correct under per-edge FIFO alone
-    /// (Theorem 3.5's actual assumption): the old implementation enqueued
-    /// the forward behind already-*released* entries only, silently
-    /// relying on cross-edge arrival order to keep blocked same-tag
-    /// entries ahead of the heartbeat.
-    hb_pending: std::collections::BTreeMap<ITag<Prog::Tag>, Timestamp>,
-    hb_forwarded: std::collections::BTreeMap<ITag<Prog::Tag>, Timestamp>,
-    /// Per-tag mirror of the timestamps in `pending`, in queue order
-    /// (per-tag keys are increasing, because the mailbox releases each
-    /// tag in `O` order). Gives `flush_heartbeats` its per-tag frontier
-    /// in O(1) instead of scanning `pending` — which is quadratic under
-    /// backlog. Maintained only on internal workers (leaves never
+    /// Heartbeat watermarks for downward forwarding, by tag position
+    /// (internal workers only; empty on a leaf): `hb_pending` is the
+    /// highest heartbeat position received but not yet fully forwarded
+    /// (0 = nothing pending), `hb_forwarded` the highest position already
+    /// promised to the children. Forwarding is capped at the tag's
+    /// *processing frontier* — strictly below the earliest same-tag entry
+    /// this worker has not yet processed — so a child's timer can never
+    /// overtake a join request that is still upstream. This is what makes
+    /// the protocol correct under per-edge FIFO alone (Theorem 3.5's
+    /// actual assumption).
+    hb_pending: Vec<Timestamp>,
+    hb_forwarded: Vec<Timestamp>,
+    /// Mirror of the timestamps in `pending`, by tag position, in queue
+    /// order (per-tag keys are increasing, because the mailbox releases
+    /// each tag in `O` order). Gives `flush_heartbeats` its per-tag
+    /// frontier in O(1) instead of scanning `pending` — which is
+    /// quadratic under backlog. Internal workers only (leaves never
     /// forward).
-    pending_ts: std::collections::BTreeMap<ITag<Prog::Tag>, VecDeque<Timestamp>>,
+    pending_ts: Vec<VecDeque<Timestamp>>,
+    /// Scratch `update` writes its outputs into.
+    outs: Vec<Prog::Out>,
     left_pred: TagPredicate<Prog::Tag>,
     right_pred: TagPredicate<Prog::Tag>,
     prog: Arc<Prog>,
@@ -227,18 +269,21 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
             (TagPredicate::empty(), TagPredicate::empty())
         };
         let p = prog.clone();
+        let mailbox =
+            Mailbox::new(relevant, worker.itags.iter().cloned(), move |a, b| p.depends(a, b));
+        // Only internal workers forward heartbeats.
+        let forwarded_tags = if worker.children.is_empty() { 0 } else { mailbox.tags().len() };
         WorkerCore {
             id,
             parent: worker.parent,
             children: worker.children.clone(),
-            mailbox: Mailbox::new(relevant, worker.itags.iter().cloned(), move |a, b| {
-                p.depends(a, b)
-            }),
+            mailbox,
             pending: VecDeque::new(),
             mode: Mode::Startup,
-            hb_pending: std::collections::BTreeMap::new(),
-            hb_forwarded: std::collections::BTreeMap::new(),
-            pending_ts: std::collections::BTreeMap::new(),
+            hb_pending: vec![0; forwarded_tags],
+            hb_forwarded: vec![0; forwarded_tags],
+            pending_ts: vec![VecDeque::new(); forwarded_tags],
+            outs: Vec::new(),
             left_pred,
             right_pred,
             prog,
@@ -297,9 +342,7 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
 
     /// Abandon a hold (timeout or aborted replan) and resume processing.
     /// Safe to call whether or not the hold had engaged.
-    pub fn cancel_hold(
-        &mut self,
-    ) -> StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out> {
+    pub fn cancel_hold(&mut self) -> Effects<Prog> {
         self.hold_requested = false;
         let mut fx = StepEffects::default();
         if self.is_held() {
@@ -330,18 +373,19 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
     /// parked anywhere in the partition — and this panics if that
     /// invariant is ever violated.
     pub fn drain_residual_events(&mut self) -> Vec<Event<Prog::Tag, Prog::Payload>> {
-        let mut entries: Vec<Entry<Prog::Tag, Prog::Payload>> =
-            self.pending.drain(..).collect();
-        entries.extend(self.mailbox.take_buffered());
-        self.pending_ts.clear();
-        self.hb_pending.clear();
-        self.hb_forwarded.clear();
-        entries
-            .into_iter()
+        for q in &mut self.pending_ts {
+            q.clear();
+        }
+        self.hb_pending.fill(0);
+        self.hb_forwarded.fill(0);
+        let id = self.id;
+        self.pending
+            .drain(..)
+            .chain(self.mailbox.take_buffered())
             .map(|e| match e {
                 Entry::Event(e) => e,
                 Entry::JoinRequest { ts, .. } => {
-                    panic!("{}: residual join request at ts {ts} during migration", self.id)
+                    panic!("{id}: residual join request at ts {ts} during migration")
                 }
             })
             .collect()
@@ -358,51 +402,71 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
     pub fn handle(
         &mut self,
         msg: WorkerMsg<Prog::Tag, Prog::Payload, Prog::State>,
-    ) -> StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out> {
+    ) -> Effects<Prog> {
         let mut fx = StepEffects::default();
+        self.handle_into(msg, &mut fx);
+        fx
+    }
+
+    /// [`handle`](Self::handle), appending the effects to `fx` (and
+    /// adding to its counters): a driver clears and reuses one
+    /// [`StepEffects`] per worker, so a handled message allocates only
+    /// what the program's own `update` / `fork` / `join` do.
+    pub fn handle_into(
+        &mut self,
+        msg: WorkerMsg<Prog::Tag, Prog::Payload, Prog::State>,
+        fx: &mut Effects<Prog>,
+    ) {
         match msg {
             WorkerMsg::Event(e) => {
-                let released = self.mailbox.insert(Entry::Event(e));
-                self.enqueue_pending(released);
-                self.drain(&mut fx);
+                self.receive(Entry::Event(e));
+                self.drain(fx);
             }
             WorkerMsg::EventBatch(events) => {
                 for e in events {
-                    let released = self.mailbox.insert(Entry::Event(e));
-                    self.enqueue_pending(released);
+                    self.receive(Entry::Event(e));
                 }
-                self.drain(&mut fx);
+                self.drain(fx);
             }
             WorkerMsg::Heartbeat(hb) => {
-                let released = self.mailbox.heartbeat(&hb);
-                self.enqueue_pending(released);
+                let from = self.pending.len();
+                let position = self.mailbox.heartbeat_into(&hb, &mut self.pending);
+                self.mirror_pending(from);
                 if !self.children.is_empty() {
-                    // Remember the position for downward forwarding; the
-                    // post-drain flush sends as much of it as the tag's
-                    // processing frontier allows (see `flush_heartbeats`).
-                    let slot = self.hb_pending.entry(hb.itag()).or_insert(0);
-                    *slot = (*slot).max(hb.ts);
+                    match position {
+                        // Remember the position for downward forwarding;
+                        // the post-drain flush sends as much of it as the
+                        // tag's processing frontier allows (see
+                        // `flush_heartbeats`).
+                        Some(i) => self.hb_pending[i] = self.hb_pending[i].max(hb.ts),
+                        // A tag this worker does not track has no entries
+                        // here, hence no frontier to cap it at: it goes
+                        // down as it came.
+                        None => {
+                            for &c in &self.children {
+                                fx.msgs.push((c, WorkerMsg::Heartbeat(hb.clone())));
+                            }
+                        }
+                    }
                 }
-                self.drain(&mut fx);
+                self.drain(fx);
             }
             WorkerMsg::JoinRequest { tag, stream, ts } => {
-                let released = self.mailbox.insert(Entry::JoinRequest { tag, stream, ts });
-                self.enqueue_pending(released);
-                self.drain(&mut fx);
+                self.receive(Entry::JoinRequest { tag, stream, ts });
+                self.drain(fx);
             }
             WorkerMsg::StateUp { from, state } => {
-                self.on_state_up(from, state, &mut fx);
+                self.on_state_up(from, state, fx);
             }
             WorkerMsg::StateDown { state } => {
-                self.adopt_state(state, &mut fx);
-                self.drain(&mut fx);
+                self.adopt_state(state, fx);
+                self.drain(fx);
             }
         }
         // Every handled message can move a processing frontier (drain
         // processed entries, timers advanced, a join finished), so flush
         // heartbeat watermarks after *every* message, not only heartbeats.
-        self.flush_heartbeats(&mut fx);
-        fx
+        self.flush_heartbeats(fx);
     }
 
     /// Forward buffered heartbeat positions down the tree, capped at each
@@ -424,19 +488,17 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
     /// re-flushed after the blocking entry is processed — each handled
     /// message ends with a flush, so the watermark advances exactly when
     /// the frontier does.
-    fn flush_heartbeats(
-        &mut self,
-        fx: &mut StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
-    ) {
-        if self.children.is_empty() || self.hb_pending.is_empty() {
-            return;
-        }
-        let mut done: Vec<ITag<Prog::Tag>> = Vec::new();
-        for (itag, &ts) in &self.hb_pending {
+    fn flush_heartbeats(&mut self, fx: &mut Effects<Prog>) {
+        // Empty on a leaf.
+        for i in 0..self.hb_pending.len() {
+            let ts = self.hb_pending[i];
+            if ts == 0 {
+                continue;
+            }
             // Earliest unprocessed entry of this tag: mailbox buffer
             // front (per-tag FIFO) or anything waiting in `pending`.
-            let buffered = self.mailbox.earliest_buffered(itag).map(|k| k.ts);
-            let queued = self.pending_ts.get(itag).and_then(|q| q.front().copied());
+            let buffered = self.mailbox.earliest_buffered_at(i).map(|k| k.ts);
+            let queued = self.pending_ts[i].front().copied();
             let frontier = match (buffered, queued) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
@@ -445,32 +507,25 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
                 Some(f) => ts.min(f.saturating_sub(1)),
                 None => ts,
             };
-            let forwarded = self.hb_forwarded.get(itag).copied().unwrap_or(0);
-            if safe > forwarded {
+            if safe > self.hb_forwarded[i] {
+                let itag = &self.mailbox.tags()[i];
                 for &c in &self.children {
                     fx.msgs.push((
                         c,
                         WorkerMsg::Heartbeat(Heartbeat::new(itag.tag.clone(), itag.stream, safe)),
                     ));
                 }
-                self.hb_forwarded.insert(itag.clone(), safe);
+                self.hb_forwarded[i] = safe;
             }
             if safe >= ts {
-                done.push(itag.clone());
+                self.hb_pending[i] = 0;
             }
-        }
-        for itag in done {
-            self.hb_pending.remove(&itag);
         }
     }
 
     /// Receive a state share: leaves hold it, internal workers fork it
     /// down immediately.
-    fn adopt_state(
-        &mut self,
-        state: Prog::State,
-        fx: &mut StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
-    ) {
+    fn adopt_state(&mut self, state: Prog::State, fx: &mut Effects<Prog>) {
         if self.is_leaf() {
             self.mode = Mode::LeafHolding(state);
         } else {
@@ -482,13 +537,8 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
         }
     }
 
-    fn on_state_up(
-        &mut self,
-        from: WorkerId,
-        state: Prog::State,
-        fx: &mut StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
-    ) {
-        let Mode::Joining { purpose, left, right } = &mut self.mode else {
+    fn on_state_up(&mut self, from: WorkerId, state: Prog::State, fx: &mut Effects<Prog>) {
+        let Mode::Joining { left, right, .. } = &mut self.mode else {
             panic!("{}: StateUp outside a join", self.id);
         };
         if from == self.children[0] {
@@ -500,54 +550,69 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
         } else {
             panic!("{}: StateUp from non-child {from}", self.id);
         }
-        if left.is_some() && right.is_some() {
-            let purpose = purpose.clone();
-            let l = left.take().expect("left present");
-            let r = right.take().expect("right present");
-            let mut joined = self.prog.join(l, r);
-            fx.joins += 1;
-            match purpose {
-                JoinPurpose::OwnEvent(e) => {
-                    let mut outs = Vec::new();
-                    self.prog.update(&mut joined, &e, &mut outs);
-                    fx.updates += 1;
-                    fx.outputs.extend(outs.into_iter().map(|o| (o, e.ts)));
-                    if self.checkpoint_on_join {
-                        fx.checkpoints.push((joined.clone(), e.ts));
-                    }
-                    if self.hold_requested {
-                        // Elastic replan: this (root) worker now holds the
-                        // full partition state and every descendant is in
-                        // AwaitingFork. Park instead of forking back down;
-                        // the controller extracts or resumes.
-                        self.mode = Mode::Held(joined);
-                    } else {
-                        self.adopt_state(joined, fx);
-                        self.drain(fx);
-                    }
+        if left.is_none() || right.is_none() {
+            return;
+        }
+        // Both halves are in: the join leaves `Joining` for good, so its
+        // purpose (and the event inside) moves out instead of cloning.
+        let Mode::Joining { purpose, left: Some(l), right: Some(r) } =
+            std::mem::replace(&mut self.mode, Mode::Startup)
+        else {
+            unreachable!("both halves checked above")
+        };
+        let mut joined = self.prog.join(l, r);
+        fx.joins += 1;
+        match purpose {
+            JoinPurpose::OwnEvent(e) => {
+                self.prog.update(&mut joined, &e, &mut self.outs);
+                fx.updates += 1;
+                fx.outputs.extend(self.outs.drain(..).map(|o| (o, e.ts)));
+                if self.checkpoint_on_join {
+                    fx.checkpoints.push((joined.clone(), e.ts));
                 }
-                JoinPurpose::Forward => {
-                    let parent = self.parent.expect("forward join needs a parent");
-                    fx.msgs.push((parent, WorkerMsg::StateUp { from: self.id, state: joined }));
-                    self.mode = Mode::AwaitingFork;
+                if self.hold_requested {
+                    // Elastic replan: this (root) worker now holds the
+                    // full partition state and every descendant is in
+                    // AwaitingFork. Park instead of forking back down;
+                    // the controller extracts or resumes.
+                    self.mode = Mode::Held(joined);
+                } else {
+                    self.adopt_state(joined, fx);
+                    self.drain(fx);
                 }
+            }
+            JoinPurpose::Forward => {
+                let parent = self.parent.expect("forward join needs a parent");
+                fx.msgs.push((parent, WorkerMsg::StateUp { from: self.id, state: joined }));
+                self.mode = Mode::AwaitingFork;
             }
         }
     }
 
-    /// Append mailbox releases to the pending queue, mirroring their
-    /// timestamps per tag on internal workers (see `pending_ts`).
-    fn enqueue_pending(&mut self, released: Vec<Entry<Prog::Tag, Prog::Payload>>) {
-        if !self.children.is_empty() {
-            for e in &released {
-                self.pending_ts.entry(e.itag()).or_default().push_back(e.order_key().ts);
-            }
+    /// Hand an entry to the mailbox; what it releases goes straight onto
+    /// the pending queue.
+    fn receive(&mut self, entry: Entry<Prog::Tag, Prog::Payload>) {
+        let from = self.pending.len();
+        self.mailbox.insert_into(entry, &mut self.pending);
+        self.mirror_pending(from);
+    }
+
+    /// Mirror the timestamps of the releases appended to `pending` from
+    /// index `from` on, per tag position (internal workers only; see
+    /// `pending_ts`).
+    fn mirror_pending(&mut self, from: usize) {
+        if self.children.is_empty() {
+            return;
         }
-        self.pending.extend(released);
+        for e in self.pending.range(from..) {
+            let key = e.order_key();
+            let i = self.mailbox.position(e.tag(), key.stream).expect("released by this mailbox");
+            self.pending_ts[i].push_back(key.ts);
+        }
     }
 
     /// Process released entries in order until blocked or drained.
-    fn drain(&mut self, fx: &mut StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>) {
+    fn drain(&mut self, fx: &mut Effects<Prog>) {
         loop {
             match self.mode {
                 Mode::LeafHolding(_) | Mode::Forked => {}
@@ -557,62 +622,64 @@ impl<Prog: DgsProgram> WorkerCore<Prog> {
             if !self.children.is_empty() {
                 // Keep the per-tag frontier mirror in step (see
                 // `pending_ts`).
+                let key = entry.order_key();
                 let popped = self
-                    .pending_ts
-                    .get_mut(&entry.itag())
-                    .and_then(VecDeque::pop_front);
-                debug_assert_eq!(popped, Some(entry.order_key().ts), "pending mirror desync");
+                    .mailbox
+                    .position(entry.tag(), key.stream)
+                    .and_then(|i| self.pending_ts[i].pop_front());
+                debug_assert_eq!(popped, Some(key.ts), "pending mirror desync");
             }
             match entry {
                 Entry::Event(e) => {
                     if let Mode::LeafHolding(state) = &mut self.mode {
-                        let mut outs = Vec::new();
-                        self.prog.update(state, &e, &mut outs);
+                        self.prog.update(state, &e, &mut self.outs);
                         fx.updates += 1;
-                        fx.outputs.extend(outs.into_iter().map(|o| (o, e.ts)));
+                        fx.outputs.extend(self.outs.drain(..).map(|o| (o, e.ts)));
                     } else {
                         // Internal worker's own event: gather the children.
-                        self.begin_join(JoinPurpose::OwnEvent(e.clone()), e.itag(), e.ts, fx);
+                        self.request_join(&e.tag, e.stream, e.ts, fx);
+                        self.mode = Mode::Joining {
+                            purpose: JoinPurpose::OwnEvent(e),
+                            left: None,
+                            right: None,
+                        };
                     }
                 }
                 Entry::JoinRequest { tag, stream, ts } => {
                     if self.is_leaf() {
-                        let Mode::LeafHolding(_) = &self.mode else { unreachable!() };
                         let Mode::LeafHolding(state) =
                             std::mem::replace(&mut self.mode, Mode::AwaitingFork)
                         else {
-                            unreachable!()
+                            unreachable!("a leaf drains only while holding its state")
                         };
                         let parent = self.parent.expect("join request implies a parent");
                         fx.msgs.push((parent, WorkerMsg::StateUp { from: self.id, state }));
                     } else {
-                        self.begin_join(
-                            JoinPurpose::Forward,
-                            ITag::new(tag.clone(), stream),
-                            ts,
-                            fx,
-                        );
+                        self.request_join(&tag, stream, ts, fx);
+                        self.mode = Mode::Joining {
+                            purpose: JoinPurpose::Forward,
+                            left: None,
+                            right: None,
+                        };
                     }
                 }
             }
         }
     }
 
-    fn begin_join(
-        &mut self,
-        purpose: JoinPurpose<Prog::Tag, Prog::Payload>,
-        itag: ITag<Prog::Tag>,
+    /// Send every child the join request for the synchronizing event
+    /// `(tag, stream, ts)`; the caller enters [`Mode::Joining`].
+    fn request_join(
+        &self,
+        tag: &Prog::Tag,
+        stream: StreamId,
         ts: Timestamp,
-        fx: &mut StepEffects<Prog::Tag, Prog::Payload, Prog::State, Prog::Out>,
+        fx: &mut Effects<Prog>,
     ) {
         debug_assert!(!self.children.is_empty());
         for &c in &self.children {
-            fx.msgs.push((
-                c,
-                WorkerMsg::JoinRequest { tag: itag.tag.clone(), stream: itag.stream, ts },
-            ));
+            fx.msgs.push((c, WorkerMsg::JoinRequest { tag: tag.clone(), stream, ts }));
         }
-        self.mode = Mode::Joining { purpose, left: None, right: None };
     }
 }
 

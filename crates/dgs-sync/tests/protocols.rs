@@ -296,8 +296,10 @@ fn pop_vs_park_unfenced_leans_on_the_timeout() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Steal-time shard reassignment vs scheduled-flag dedup
-//    (dgs-runtime thread_driver::executor: Scheduler::wake / shard drain)
+// 4. Steal-time shard reassignment vs scheduled-flag dedup, and the
+//    notify-only-if-parked wake-up
+//    (dgs-runtime thread_driver::executor: Scheduler::wake / park /
+//    shard drain)
 // ---------------------------------------------------------------------
 
 /// Publishers bump a pending counter then enqueue the worker unless its
@@ -391,6 +393,80 @@ fn scheduled_flag_clear_after_drain_is_caught() {
         .check_result(|| sched_flag_shim(false))
         .expect_err("clearing the flag after the drain must strand a publish");
     assert!(failure.message.contains("stranded"), "got: {}", failure.message);
+}
+
+/// `Scheduler::wake` / `Scheduler::park`: the run queue and a `parked`
+/// flag share one mutex. The shard sets the flag under the lock, after
+/// finding the queue empty and before waiting, and clears it after; a
+/// waker pushes and reads the flag in one critical section and notifies
+/// only when it was set — so the shard either sees the id before it
+/// waits or is seen waiting. The wait here is untimed (the real park is
+/// a `wait_timeout` re-scan for stealable work), so a lost wake-up is a
+/// deadlock the checker reports. Reading the flag *before* taking the
+/// lock to push loses one: the shard can park in between.
+struct ParkedShim {
+    /// `(ready ids, parked)`.
+    list: Mutex<(Vec<usize>, bool)>,
+    ready: Condvar,
+}
+
+fn parked_flag_shim(read_flag_with_the_push: bool) {
+    const WAKERS: usize = 2;
+    let st = Arc::new(ParkedShim { list: Mutex::new((Vec::new(), false)), ready: Condvar::new() });
+
+    let mut threads = Vec::new();
+    for w in 0..WAKERS {
+        let st2 = st.clone();
+        threads.push(model::thread::spawn(move || {
+            let parked = if read_flag_with_the_push {
+                let mut q = st2.list.lock().expect("queue");
+                q.0.push(w);
+                q.1
+            } else {
+                let parked = st2.list.lock().expect("queue").1;
+                st2.list.lock().expect("queue").0.push(w);
+                parked
+            };
+            if parked {
+                st2.ready.notify_one();
+            }
+        }));
+    }
+
+    // The shard: pop (`next_ready`), else park and re-scan.
+    let mut polled = 0usize;
+    while polled < WAKERS {
+        if st.list.lock().expect("queue").0.pop().is_some() {
+            polled += 1;
+            continue;
+        }
+        let mut q = st.list.lock().expect("queue");
+        if q.0.is_empty() {
+            q.1 = true;
+            q = st.ready.wait(q).expect("queue");
+            q.1 = false;
+        }
+    }
+    for t in threads {
+        t.join().expect("waker");
+    }
+}
+
+#[test]
+fn parked_flag_read_with_the_push_passes_exhaustively() {
+    let report =
+        Config::dfs().preemptions(2).named("parked-flag").check(|| parked_flag_shim(true));
+    assert!(report.exhausted, "suite must be fully explored, ran {}", report.schedules);
+}
+
+#[test]
+fn parked_flag_read_before_the_lock_is_caught() {
+    let failure = Config::dfs()
+        .preemptions(2)
+        .named("parked-flag-early-read")
+        .check_result(|| parked_flag_shim(false))
+        .expect_err("a flag read before the push must lose a wake-up");
+    assert!(failure.message.contains("deadlock"), "got: {}", failure.message);
 }
 
 // ---------------------------------------------------------------------

@@ -18,6 +18,10 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
+// The facade has no unsafe code; `tests/hot_path_allocs.rs` (a counting
+// `GlobalAlloc`) does, and the audit wants the package root to carry this.
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod api;
 
 pub use dgs_apps as apps;
