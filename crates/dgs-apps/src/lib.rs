@@ -20,12 +20,11 @@
 //! | [`smart_home`] | App. A.2 DEBS-2014 power prediction | per-house parallelism, hourly global slice |
 //!
 //! [`sweep`] gives every application one parameterized shape
-//! (`workers × window geometry`) so the wall-clock harness in `dgs-bench`
-//! can drive rate sweeps over all of them generically, and a
+//! (`workers × window geometry`) so tests, the CLI and the `bench/`
+//! harness can drive all of them generically, and a
 //! [`job`](sweep::SweepWorkload::job) view onto the unified
 //! `flumina::api` execution layer. [`registry`] is the single named
-//! table of these workloads that the `flumina` CLI and the `wallclock`
-//! binary both resolve against.
+//! table of these workloads that every front end resolves against.
 
 pub mod fraud;
 pub mod outlier;

@@ -1,7 +1,7 @@
 //! The named workload registry: **one** table mapping workload names to
 //! [`SweepWorkload`] types (and therefore to [`Job`] constructors via
 //! [`SweepWorkload::job`]), shared by every front end — the `flumina`
-//! CLI and the `wallclock` benchmark binary both resolve names through
+//! CLI, the tests and the `bench/` harness all resolve names through
 //! here, so their workload lists cannot drift apart.
 //!
 //! Because the workload types differ per entry, lookups use a visitor:
@@ -43,9 +43,9 @@ pub struct WorkloadEntry {
     pub name: &'static str,
     /// One-line description for `--help`-style listings.
     pub about: &'static str,
-    /// Member of the default wall-clock sweep grid (the four workloads
-    /// every committed `BENCH_*.json` trajectory records; the others
-    /// are selectable but keep the trajectory cell set stable).
+    /// Member of the default sweep: the three §4 applications plus the
+    /// multi-root forest. `flumina list` marks these rows
+    /// `[default sweep]`; the others are selectable by name.
     pub in_default_sweep: bool,
 }
 
@@ -128,9 +128,8 @@ pub fn names() -> Vec<&'static str> {
     WORKLOADS.iter().map(|w| w.name).collect()
 }
 
-/// The human-readable listing (one row per workload) that both front
-/// ends print — `flumina list` and `wallclock --list` — kept here so
-/// the *presentation* cannot drift between them either.
+/// The human-readable listing (one row per workload) that `flumina list`
+/// prints, kept beside the table it renders.
 pub fn render_listing() -> String {
     WORKLOADS
         .iter()
@@ -143,11 +142,6 @@ pub fn render_listing() -> String {
             )
         })
         .collect()
-}
-
-/// The default wall-clock sweep set (the committed-trajectory cells).
-pub fn default_sweep_names() -> Vec<&'static str> {
-    WORKLOADS.iter().filter(|w| w.in_default_sweep).map(|w| w.name).collect()
 }
 
 #[cfg(test)]
@@ -175,10 +169,13 @@ mod tests {
 
     #[test]
     fn default_sweep_is_the_trajectory_quartet() {
-        assert_eq!(
-            default_sweep_names(),
-            vec!["value-barrier", "page-view", "fraud-detection", "page-view-forest"]
-        );
+        let listing = render_listing();
+        let marked: Vec<&str> = listing
+            .lines()
+            .filter(|l| l.ends_with("[default sweep]"))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(marked, ["value-barrier", "page-view", "fraud-detection", "page-view-forest"]);
         assert_eq!(names().len(), WORKLOADS.len());
     }
 

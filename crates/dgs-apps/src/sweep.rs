@@ -1,8 +1,8 @@
 //! Uniform workload parameterization for wall-clock rate sweeps.
 //!
-//! The wall-clock benchmark harness (`dgs-bench::wallclock`) drives the
-//! real-thread driver over the paper's three evaluation applications
-//! across `(worker count, input rate)` grids. Each application already
+//! The `bench/` harness, the tests and the CLI drive the real-thread
+//! driver over the paper's evaluation applications at varying worker
+//! counts and input rates. Each application already
 //! knows how to build its plan and scheduled streams; this module gives
 //! them one shared shape — construct from `(workers, per_window,
 //! windows)`, expose program/plan/streams/event-count — so the harness
@@ -268,8 +268,8 @@ pub fn bursty_counts(base: u64, windows: u64, key: u64) -> Vec<u64> {
 /// traffic for parallelism it never uses — exactly the workload the
 /// elastic controller exists for: it joins the cold page partitions at
 /// run time (and re-forks any that heat up), which is the
-/// `controller-on` vs `controller-off` comparison `wallclock --skew`
-/// records.
+/// `controller-on` vs `controller-off` comparison `flumina run
+/// page-view-zipf --elastic` exercises.
 #[derive(Clone, Copy, Debug)]
 pub struct PvZipfWorkload {
     /// Number of pages (keys); popularity is zipf over them.
@@ -565,7 +565,7 @@ mod tests {
     }
 
     /// The `job()` view of a workload runs and verifies end to end (the
-    /// path the wallclock harness and CLI drive).
+    /// path the `bench/` harness and CLI drive).
     #[test]
     fn sweep_jobs_verify_against_the_spec() {
         fn verify<W: SweepWorkload>() {

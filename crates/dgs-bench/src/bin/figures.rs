@@ -1,60 +1,30 @@
 //! Regenerate the paper's tables and figures as text.
 //!
 //! ```text
-//! figures [--quick] [--json PATH] [fig4 | fig6 | fig8 | fig10a | fig10b | caseA1 | caseA2 | table1 | ablation | straggler | all]
+//! figures [--quick] [fig4 | fig6 | fig8 | fig10a | fig10b | caseA1 | caseA2 | table1 | ablation | straggler | all]...
 //! ```
 //!
-//! `--json PATH` additionally captures the headline throughput figures
-//! (4 and 8) as simulator entries in the shared trajectory schema of
-//! `dgs_bench::report` — the same file format the `wallclock` binary
-//! emits, so virtual-time and wall-clock results land in one
-//! `BENCH_<date>.json` trajectory.
+//! No selector means all. An unknown flag or selector prints the usage
+//! line to stderr and exits 1.
 
 use dgs_bench::figures::{self, PARALLELISM_AXIS};
 use dgs_bench::measure::{self, Scale};
-use dgs_bench::report;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("figures: --json needs a path");
-            std::process::exit(1);
-        }));
-    let mut skip_next = false;
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--json" {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
-    let all = which.is_empty() || which.contains(&"all");
+    let args = figures::parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("figures: {e}\n{}", figures::usage());
+        std::process::exit(1);
+    });
+    let quick = args.quick;
     let scale = if quick { Scale::quick() } else { Scale::saturating() };
     let axis: &[u32] = if quick { &[1, 4, 8, 12] } else { &PARALLELISM_AXIS };
 
-    let want = |name: &str| all || which.contains(&name);
-
-    // The headline series feed both the text tables and --json; compute
-    // each at most once per invocation.
-    let need_json = json_path.is_some();
-    let flink4 = (want("fig4") || need_json).then(|| figures::fig4_flink(axis, scale));
-    let timely4 = (want("fig4") || need_json).then(|| figures::fig4_timely(axis, scale, 64));
-    let flumina8 = (want("fig8") || need_json).then(|| figures::fig8_flumina(axis, scale));
+    let want = |name: &str| args.wants(name);
 
     if want("fig4") {
-        println!("{}", figures::render_series("Figure 4 (top): Flink-style max throughput [events/ms]", axis, flink4.as_deref().unwrap()));
-        println!("{}", figures::render_series("Figure 4 (bottom): Timely-style (batched) max throughput [events/ms]", axis, timely4.as_deref().unwrap()));
+        println!("{}", figures::render_series("Figure 4 (top): Flink-style max throughput [events/ms]", axis, &figures::fig4_flink(axis, scale)));
+        println!("{}", figures::render_series("Figure 4 (bottom): Timely-style (batched) max throughput [events/ms]", axis, &figures::fig4_timely(axis, scale, 64)));
         println!("paper expectation: Event Win. ~10x/8x, Page View caps ~2x/1x, Fraud flat (F) / ~6x (TD), Page View (M) ~2x\n");
     }
     if want("fig6") {
@@ -66,7 +36,7 @@ fn main() {
         println!("paper expectation: S-Plan sustains 4-8x higher rate with low latency; auto saturates early with latency blow-up\n");
     }
     if want("fig8") {
-        println!("{}", figures::render_series("Figure 8: Flumina (DGS) max throughput [events/ms]", axis, flumina8.as_deref().unwrap()));
+        println!("{}", figures::render_series("Figure 8: Flumina (DGS) max throughput [events/ms]", axis, &figures::fig8_flumina(axis, scale)));
         println!("paper expectation: all three applications scale ~8x by 12-20 nodes\n");
     }
     if want("fig10a") {
@@ -156,22 +126,6 @@ fn main() {
             println!("{:>10.1} | {:>12.1} | {:>12.3}", slow, p.throughput, p50);
         }
         println!("expectation: globally synchronizing windows are gated by the slowest node\n");
-    }
-    if let Some(path) = &json_path {
-        let mut entries =
-            figures::series_entries("fig4_flink", "flink", flink4.as_deref().unwrap());
-        entries.extend(figures::series_entries("fig4_timely", "timely", timely4.as_deref().unwrap()));
-        entries.extend(figures::series_entries("fig8_flumina", "flumina", flumina8.as_deref().unwrap()));
-        let doc = report::trajectory(&report::utc_date_string(), &[], &entries, &[], &[]);
-        if let Err(e) = report::validate_trajectory(&doc) {
-            eprintln!("figures: emitted JSON violates own schema: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-            eprintln!("figures: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path}: {} simulator entries", entries.len());
     }
     if want("table1") {
         println!("## Table 1: development tradeoffs + 12-node scaling");

@@ -1,10 +1,55 @@
 //! Assemble measurement points into the paper's tables and figures.
 
 use crate::measure::{self, MeasuredPoint, Scale};
-use crate::report::SimEntry;
 
 /// The parallelism axis used throughout §4 (Figures 4 and 8).
 pub const PARALLELISM_AXIS: [u32; 6] = [1, 4, 8, 12, 16, 20];
+
+/// Every selector the `figures` binary accepts; `all` selects the rest.
+pub const SELECTORS: [&str; 11] = [
+    "fig4", "fig6", "fig8", "fig10a", "fig10b", "caseA1", "caseA2", "table1", "ablation",
+    "straggler", "all",
+];
+
+/// The `figures` binary's usage line, printed with every argument error.
+pub fn usage() -> String {
+    format!("usage: figures [--quick] [{}]...", SELECTORS.join(" | "))
+}
+
+/// The `figures` binary's parsed command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Args {
+    /// `--quick`: the small scale and the short parallelism axis.
+    pub quick: bool,
+    /// The selectors named, in order; none means all.
+    pub selected: Vec<&'static str>,
+}
+
+impl Args {
+    /// Whether the figure named `name` is selected.
+    pub fn wants(&self, name: &str) -> bool {
+        self.selected.is_empty() || self.selected.iter().any(|&s| s == "all" || s == name)
+    }
+}
+
+/// Parse the `figures` binary's arguments (program name excluded):
+/// `--quick` plus any of [`SELECTORS`]. Anything else is an error naming
+/// the offending argument.
+pub fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { quick: false, selected: Vec::new() };
+    for arg in args {
+        if arg == "--quick" {
+            parsed.quick = true;
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag {arg:?}"));
+        } else if let Some(&sel) = SELECTORS.iter().find(|&&s| s == arg) {
+            parsed.selected.push(sel);
+        } else {
+            return Err(format!("unknown selector {arg:?}"));
+        }
+    }
+    Ok(parsed)
+}
 
 /// One named throughput-vs-parallelism series.
 #[derive(Debug)]
@@ -271,35 +316,6 @@ pub fn table1(s: Scale) -> Vec<Table1Row> {
     ]
 }
 
-/// Flatten one figure's series into trajectory entries (virtual-time
-/// throughput in events/ms is rescaled to events per virtual second so
-/// the shared schema has one throughput unit).
-pub fn series_entries(figure: &str, system: &str, series: &[Series]) -> Vec<SimEntry> {
-    series
-        .iter()
-        .flat_map(|s| {
-            s.points.iter().map(|p| SimEntry {
-                figure: figure.to_string(),
-                workload: s.name.to_string(),
-                system: system.to_string(),
-                workers: p.parallelism,
-                throughput_eps: p.throughput * 1_000.0,
-                latency_p10_p50_p90: p.latency,
-                net_bytes: p.net_bytes,
-            })
-        })
-        .collect()
-}
-
-/// The simulator side of a trajectory capture: the three headline
-/// throughput figures (4 top/bottom and 8) over `axis` at scale `s`.
-pub fn sim_entries(axis: &[u32], s: Scale) -> Vec<SimEntry> {
-    let mut entries = series_entries("fig4_flink", "flink", &fig4_flink(axis, s));
-    entries.extend(series_entries("fig4_timely", "timely", &fig4_timely(axis, s, 64)));
-    entries.extend(series_entries("fig8_flumina", "flumina", &fig8_flumina(axis, s)));
-    entries
-}
-
 /// Render a throughput series table.
 pub fn render_series(title: &str, axis: &[u32], series: &[Series]) -> String {
     use std::fmt::Write;
@@ -365,21 +381,38 @@ mod tests {
         assert_eq!(s.scaling_at(99), 0.0);
     }
 
+    fn args(v: &[&str]) -> Result<Args, String> {
+        parse_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
-    fn series_entries_flatten_into_a_valid_trajectory() {
-        let mk = |n: u32, t: f64| MeasuredPoint {
-            parallelism: n,
-            throughput: t,
-            latency: Some((1, 2, 3)),
-            net_bytes: 7,
-        };
-        let series = vec![Series { name: "Event Win.", points: vec![mk(1, 100.0), mk(12, 800.0)] }];
-        let entries = series_entries("fig8_flumina", "flumina", &series);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[1].workers, 12);
-        assert_eq!(entries[1].throughput_eps, 800_000.0);
-        let doc = crate::report::trajectory("2026-01-01", &[], &entries, &[], &[]);
-        assert_eq!(crate::report::validate_trajectory(&doc), Ok(2));
+    fn no_selector_means_all() {
+        let a = args(&[]).unwrap();
+        assert!(!a.quick);
+        assert!(SELECTORS.iter().all(|s| a.wants(s)));
+        let a = args(&["all"]).unwrap();
+        assert!(SELECTORS.iter().all(|s| a.wants(s)));
+    }
+
+    #[test]
+    fn quick_with_one_selector_wants_only_that_figure() {
+        let a = args(&["--quick", "fig8"]).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.selected, ["fig8"]);
+        assert!(a.wants("fig8") && !a.wants("fig4") && !a.wants("table1"));
+    }
+
+    #[test]
+    fn unknown_selector_is_rejected() {
+        let e = args(&["--quick", "fig99"]).unwrap_err();
+        assert!(e.contains("fig99"), "{e}");
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected() {
+        let e = args(&["--quik", "fig8"]).unwrap_err();
+        assert!(e.contains("--quik"), "{e}");
+        assert!(args(&["--json", "out.json"]).is_err(), "--json went with the trajectory format");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! bucket is the overflow (`+Inf` in Prometheus terms). Recording is one
 //! relaxed `fetch_add` on the bucket plus two on `_sum`/`_count` — no
 //! locks, no allocation — so the histogram can stay armed on every run
-//! without showing up in the wallclock A/B.
+//! without showing up in a metrics-on vs. metrics-off comparison.
 
 use dgs_sync::atomic::{AtomicU64, Ordering};
 

@@ -477,8 +477,8 @@ pub struct RunTiming {
     /// The edge storage the run used, by its artifact name:
     /// `"per-edge"` (mutex deques — one executor shard) or
     /// `"per-edge-ring"` (lock-free rings — more than one). Reporting
-    /// only: the run chooses it from the shard count below, and
-    /// benchmark trajectories key their cells on it.
+    /// only: the run chooses it from the shard count below, and the
+    /// metrics plane's `flumina_run_info` carries it as a label.
     pub channel_mode: &'static str,
     /// The number of executor shards the run actually used: the
     /// requested [`ThreadRunOptions::executor_threads`] (or the host

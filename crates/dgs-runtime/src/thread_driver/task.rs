@@ -116,7 +116,7 @@ where
     // Task-local effect tallies, flushed into the registry every
     // `flush_every` messages and handed over when the task retires —
     // per-message atomic RMWs on adjacent slots would put false sharing
-    // on the exact hot path the wallclock benchmarks measure.
+    // on the exact hot path the `bench/` workloads measure.
     msgs: u64,
     updates: u64,
     joins: u64,

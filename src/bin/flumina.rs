@@ -38,19 +38,18 @@
 //! the smoke artifact.
 //!
 //! `run --elastic` turns on the elastic replan controller: the run is
-//! reshaped into many small windows under saturating paced load (like
-//! the `wallclock --skew` cells), every completed fork/join migration
-//! is streamed to stderr as an `[elastic t+…]` line, and the verdict
-//! gains a replan tally. A controller-on run that completes **zero**
+//! reshaped into many small windows under saturating paced load, every
+//! completed fork/join migration is streamed to stderr as an
+//! `[elastic t+…]` line, and the verdict gains a replan tally. A controller-on run that completes **zero**
 //! replans exits nonzero — on a skewed workload (`page-view-zipf`) the
 //! controller finding nothing to do means the elasticity plane is
 //! broken, and CI's replan smoke leans on that. `--no-elastic` (the
 //! default) keeps the static plan.
 //!
 //! Workloads are resolved by name against the shared
-//! [`registry`](flumina::apps::registry) — the same table the
-//! `wallclock` benchmark binary uses, so the two front ends cannot
-//! drift. Every command goes through the unified [`flumina::api::Job`]
+//! [`registry`](flumina::apps::registry) — the same table the tests
+//! and the `bench/` harness use, so the front ends cannot drift. Every
+//! command goes through the unified [`flumina::api::Job`]
 //! front door: the plan is derived from the workload's streams, and
 //! `run` is a [`verify_against_spec`](flumina::api::Job::verify_against_spec)
 //! call (Theorem 3.5 as a CLI exit code).
@@ -217,9 +216,9 @@ impl WorkloadVisitor for RunCmd {
             traces: None,
             warnings: Vec::new(),
         };
-        // `--elastic` reshapes the run the way the `wallclock --skew`
-        // cells do: many small windows (protocol-heavy, long enough for
-        // the millisecond-cadence controller to act) and a wide
+        // `--elastic` reshapes the run into a skew cell: many small
+        // windows (protocol-heavy, long enough for the
+        // millisecond-cadence controller to act) and a wide
         // heartbeat period — the controller's rate samples count every
         // sent item, so the default dense heartbeats would put a
         // uniform floor under cold partitions and mask the skew it

@@ -27,12 +27,15 @@ fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map(|d| d.count()).unwrap_or(0)
 }
 
-/// One grid cell: run the workload on `threads` executor threads and
-/// require the spec multiset plus a truthful `RunTiming`: the shard
-/// count clamped to the worker count, and the edge storage that count
-/// selects (mutex deques on one shard, rings above).
+/// One grid cell: run the workload on `threads` executor threads —
+/// unpaced, or paced at `pace_ns_per_tick` — and require the spec
+/// multiset plus a truthful `RunTiming`: the shard count clamped to the
+/// worker count, the edge storage that count selects (mutex deques on
+/// one shard, rings above), every event handled at least once, and one
+/// latency sample per output exactly when the run was paced.
 struct ShardCell {
     threads: usize,
+    pace_ns_per_tick: Option<u64>,
 }
 
 impl WorkloadVisitor for ShardCell {
@@ -45,14 +48,21 @@ impl WorkloadVisitor for ShardCell {
         let report = job.run(Backend::Threads(ThreadRunOptions {
             executor_threads: Some(self.threads),
             record_timing: true,
+            pace_ns_per_tick: self.pace_ns_per_tick,
             ..Default::default()
         }));
         assert_eq!(
             report.output_multiset(),
             spec,
-            "{} [x{}]: sharded run diverged from the sequential spec",
+            "{} [x{} pace {:?}]: sharded run diverged from the sequential spec",
             W::NAME,
-            self.threads
+            self.threads,
+            self.pace_ns_per_tick
+        );
+        assert!(
+            report.effects.msgs.iter().sum::<u64>() >= w.event_count(),
+            "{}: every input event must be handled at least once",
+            W::NAME
         );
         let timing = report.timing.as_ref().expect("timing was requested");
         let shards = self.threads.min(report.plan.len());
@@ -69,17 +79,28 @@ impl WorkloadVisitor for ShardCell {
             W::NAME,
             self.threads
         );
+        let samples = if self.pace_ns_per_tick.is_some() { report.outputs.len() } else { 0 };
+        assert_eq!(
+            timing.output_latency_ns.len(),
+            samples,
+            "{}: paced runs sample every output's latency, unpaced runs none",
+            W::NAME
+        );
     }
 }
 
 /// Theorem 3.5 across the whole grid: every registry workload ×
-/// {1, 2, 4, 8} executor threads, which covers both edge storages.
+/// {1, 2, 4, 8} executor threads unpaced, which covers both edge
+/// storages, plus paced cells (2 µs per tick: 500 k events/s per
+/// stream) on 1 and 2 threads.
 #[test]
 fn all_workloads_match_spec_across_shard_counts_and_modes() {
     let _guard = serial();
+    let unpaced = [1usize, 2, 4, 8].map(|threads| (threads, None));
+    let paced = [1usize, 2].map(|threads| (threads, Some(2_000)));
     for name in registry::names() {
-        for threads in [1usize, 2, 4, 8] {
-            let mut cell = ShardCell { threads };
+        for (threads, pace_ns_per_tick) in unpaced.into_iter().chain(paced) {
+            let mut cell = ShardCell { threads, pace_ns_per_tick };
             registry::visit(name, &mut cell)
                 .unwrap_or_else(|| panic!("unknown workload {name:?}"));
         }

@@ -74,7 +74,7 @@ fn forest_run_exposes_per_partition_gauges() {
 }
 
 /// Disabling metrics through the same front door yields a report with
-/// no snapshot — the wallclock A/B axis.
+/// no snapshot — the metrics-off arm of an overhead comparison.
 #[test]
 fn metrics_can_be_disabled_through_the_job_front_door() {
     struct Off;
