@@ -33,9 +33,10 @@ use crate::value_barrier::{ValueBarrier, VbWorkload};
 pub type ProgStreams<Pr> =
     Vec<ScheduledStream<<Pr as DgsProgram>::Tag, <Pr as DgsProgram>::Payload>>;
 
-/// A workload the wall-clock harness can sweep: parameterized by worker
-/// count and window geometry, able to produce everything `run_threads`
-/// needs plus the exact event volume for throughput accounting.
+/// A workload the front ends can sweep: parameterized by worker count
+/// and window geometry, able to produce everything a `Job` needs (the
+/// program, its streams, the hand-built plan) plus the exact event
+/// volume for throughput accounting.
 pub trait SweepWorkload: Sized {
     /// The DGS program this workload drives. (Spec comparisons go
     /// through `Job`'s canonical `Debug` multiset, so `Out` needs no

@@ -4,7 +4,6 @@
 //! consistency conditions on generated states.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 
 use dgs_apps::fraud::{FdOut, FdState, FdWorkload, FraudDetection, MODULO};
 use dgs_apps::page_view::{PageViewJoin, PvWorkload};
@@ -14,8 +13,8 @@ use dgs_core::event::{Event, StreamId};
 use dgs_core::spec::{run_sequential, sort_o};
 use dgs_core::predicate::TagPredicate;
 use dgs_core::DgsProgram;
+use dgs_runtime::job::{Backend, Job};
 use dgs_runtime::source::item_lists;
-use dgs_runtime::thread_driver::{run_threads, ThreadRunOptions};
 
 proptest! {
     // Thread-driver runs are comparatively expensive; keep case counts
@@ -32,7 +31,7 @@ proptest! {
         let w = VbWorkload { value_streams: streams, values_per_barrier: vpb, barriers };
         let scheduled = w.scheduled_streams(hb);
         let expect = run_sequential(&ValueBarrier, &sort_o(&item_lists(&scheduled))).1;
-        let result = run_threads(Arc::new(ValueBarrier), &w.plan(), scheduled, ThreadRunOptions::default());
+        let result = Job::new(ValueBarrier, scheduled).with_plan(w.plan()).run(Backend::threads());
         let mut with_ts = result.outputs.clone();
         with_ts.sort_by_key(|(_, ts)| *ts);
         let got: Vec<i64> = with_ts.iter().map(|(o, _)| *o).collect();
@@ -49,8 +48,7 @@ proptest! {
         let w = FdWorkload { txn_streams: streams, txns_per_rule: tpr, rules };
         let scheduled = w.scheduled_streams(hb);
         let expect = run_sequential(&FraudDetection, &sort_o(&item_lists(&scheduled))).1;
-        let result =
-            run_threads(Arc::new(FraudDetection), &w.plan(), scheduled, ThreadRunOptions::default());
+        let result = Job::new(FraudDetection, scheduled).with_plan(w.plan()).run(Backend::threads());
         let mut got: Vec<FdOut> = result.outputs.iter().map(|(o, _)| *o).collect();
         let mut want = expect;
         got.sort();
@@ -73,8 +71,7 @@ proptest! {
         };
         let scheduled = w.scheduled_streams(7);
         let expect = run_sequential(&PageViewJoin, &sort_o(&item_lists(&scheduled))).1;
-        let result =
-            run_threads(Arc::new(PageViewJoin), &w.plan(), scheduled, ThreadRunOptions::default());
+        let result = Job::new(PageViewJoin, scheduled).with_plan(w.plan()).run(Backend::threads());
         let mut got: Vec<_> = result.outputs.iter().map(|(o, _)| *o).collect();
         let mut want = expect;
         got.sort();

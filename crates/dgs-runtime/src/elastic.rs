@@ -91,7 +91,8 @@ impl ReplanKind {
     }
 }
 
-/// One completed replan, as reported in `ThreadRunResult::replans`.
+/// One completed replan, as reported in
+/// [`RunReport::replans`](crate::job::RunReport::replans).
 #[derive(Clone, Debug)]
 pub struct ReplanEvent {
     /// Fork (split) or join (collapse).

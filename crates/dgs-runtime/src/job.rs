@@ -15,15 +15,18 @@
 //!   [`DgsProgram::depends`] via the
 //!   [`ProgramDependence`](dgs_core::depends::ProgramDependence) blanket
 //!   adapter — no hand-written `FnDependence` wrapper;
-//! * the **plan** from an optimizer selected by [`PlanStrategy`]
-//!   ([`CommMin`](PlanStrategy::CommMin) by default), or pinned
-//!   explicitly with [`Job::with_plan`].
+//! * the **plan** from the Appendix-B communication-minimizing
+//!   optimizer ([`CommMinOptimizer`]), or pinned explicitly with
+//!   [`Job::with_plan`].
 //!
-//! Execution goes through one [`Backend`] value — real threads, the
-//! deterministic cluster simulator (replaying the same streams in
-//! virtual time), or the sequential specification — and every backend
-//! returns the same [`RunReport`], so "the parallel run matches the
-//! spec" (Theorem 3.5) is a one-liner: [`Job::verify_against_spec`].
+//! What a run starts from ([`Job::with_initial_state`]) and whether its
+//! partition roots checkpoint ([`Job::checkpoint_roots`]) are set on the
+//! job, once, and hold on every backend. Execution goes through one
+//! [`Backend`] value — real threads, the deterministic cluster simulator
+//! (replaying the same streams in virtual time), or the sequential
+//! specification — and every backend returns the same [`RunReport`], so
+//! "the parallel run matches the spec" (Theorem 3.5) is a one-liner:
+//! [`Job::verify_against_spec`].
 //!
 //! A run never touches the disk. Root-join snapshots
 //! ([`Job::checkpoint_roots`]) come back in [`RunReport::checkpoints`];
@@ -53,12 +56,10 @@
 //! assert_eq!(verified.run.outputs.len(), 4);
 //! ```
 //!
-//! The pre-existing layer — hand-built `ITagInfo`s, explicit optimizer
-//! calls, [`run_threads`], [`build_sim`](crate::sim_driver::build_sim) —
-//! remains public as the low-level API for callers that need
-//! driver-specific knobs; `Job` is a composition of exactly those
-//! pieces, proven plan- and output-identical to the manual path by
-//! `tests/api_equivalence.rs`.
+//! `Job` is the only way to run a plan. The cluster model behind the
+//! paper figures — [`build_sim`](crate::sim_driver::build_sim) over
+//! [`PacedSource`](crate::source::PacedSource)s with explicit topologies
+//! and cost models — is an evaluation substrate, not a second front door.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -70,7 +71,7 @@ use dgs_core::program::DgsProgram;
 use dgs_core::spec::sort_o;
 use dgs_core::tag::ITag;
 use dgs_metrics::{MetricsSnapshot, StoreMetrics};
-use dgs_plan::optimizer::{CommMinOptimizer, ITagInfo, Optimizer, SequentialOptimizer};
+use dgs_plan::optimizer::{CommMinOptimizer, ITagInfo, Optimizer};
 use dgs_plan::plan::{Location, Plan, WorkerId};
 use dgs_sim::{LinkSpec, Topology};
 
@@ -81,30 +82,19 @@ use crate::sim_driver::{build_sim_scheduled, ReplaySource, SimConfig};
 use crate::source::{item_lists, ScheduledStream};
 use crate::thread_driver::{run_threads, RunEffects, RunTiming, ThreadRunOptions};
 
-/// Which optimizer derives the synchronization plan (paper §3.3 /
-/// Appendix B).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PlanStrategy {
-    /// The Appendix-B communication-minimizing greedy — the default, and
-    /// the optimizer the paper's evaluation runs.
-    #[default]
-    CommMin,
-    /// One sequential worker owning every tag (the baseline plan).
-    Sequential,
-}
-
 /// Where a [`Job`] executes. All three backends return the same
-/// [`RunReport`].
-pub enum Backend<S> {
-    /// Real OS threads via [`run_threads`] — the "production" backend.
-    /// The job's own `initial_state`/`checkpoint_roots` settings fill
-    /// any options the caller left at their defaults.
-    Threads(ThreadRunOptions<S>),
+/// [`RunReport`], and all three start from the job's initial state and
+/// honor its checkpoint flag.
+pub enum Backend {
+    /// Real OS threads on the sharded executor — the "production"
+    /// backend, with its execution options.
+    Threads(ThreadRunOptions),
     /// The deterministic cluster simulator, replaying the job's
-    /// scheduled streams in virtual time (see
-    /// [`build_sim_scheduled`]); deliveries honor the topology's link
-    /// latencies and, when configured, the adversarial scheduler.
-    Sim(SimConfig),
+    /// scheduled streams in virtual time (one tick per virtual
+    /// microsecond) over a uniform topology covering every source and
+    /// worker location; per-stream order is kept, cross-stream
+    /// interleaving follows the simulated link latencies.
+    Sim,
     /// The sequential specification ([`run_sequential`-style], paper
     /// Definition 2.2): events of all streams merged in timestamp order
     /// and folded through `update` on a single pseudo-worker. This is
@@ -114,7 +104,7 @@ pub enum Backend<S> {
     Spec,
 }
 
-impl<S> Backend<S> {
+impl Backend {
     /// The thread backend with default options — what
     /// [`Job::verify_against_spec`] runs.
     pub fn threads() -> Self {
@@ -122,7 +112,7 @@ impl<S> Backend<S> {
     }
 }
 
-impl<S> Default for Backend<S> {
+impl Default for Backend {
     fn default() -> Self {
         Backend::threads()
     }
@@ -148,10 +138,10 @@ pub struct RunReport<P: DgsProgram> {
     pub plan: Plan<P::Tag>,
     /// Every output with the timestamp of the event that produced it.
     pub outputs: Vec<(P::Out, Timestamp)>,
-    /// Root checkpoints (empty unless [`Job::checkpoint_roots`] or the
-    /// backend options enabled them), tagged with the partition root
-    /// that took each snapshot. The [`Backend::Spec`] backend reports a
-    /// single final-state snapshot tagged `WorkerId(0)`.
+    /// Root checkpoints (empty unless [`Job::checkpoint_roots`] enabled
+    /// them), tagged with the partition root that took each snapshot. The
+    /// [`Backend::Spec`] backend reports a single final-state snapshot
+    /// tagged `WorkerId(0)`.
     pub checkpoints: Vec<(WorkerId, P::State, Timestamp)>,
     /// Per-worker protocol effect counters, indexed by plan worker id.
     /// The [`Backend::Spec`] backend reports one sequential
@@ -271,13 +261,11 @@ impl std::error::Error for SpecMismatch {}
 pub struct Job<P: DgsProgram> {
     program: Arc<P>,
     streams: Vec<ScheduledStream<P::Tag, P::Payload>>,
-    strategy: PlanStrategy,
     fixed_plan: Option<Plan<P::Tag>>,
     rate_overrides: BTreeMap<ITag<P::Tag>, f64>,
     place_overrides: BTreeMap<ITag<P::Tag>, Location>,
     initial_state: Option<P::State>,
     checkpoint_roots: bool,
-    sim_ns_per_tick: u64,
     /// Derived-plan / derived-infos caches: the optimizer and the
     /// per-stream schedule scans run once per builder configuration,
     /// however many times `plan()`/`derived_infos()`/`run()`/
@@ -288,15 +276,13 @@ pub struct Job<P: DgsProgram> {
 }
 
 impl<P: DgsProgram> Job<P> {
-    /// A job over `program` and its input streams. Panics if two streams
-    /// share an implementation tag (each itag names exactly one input
-    /// stream, paper §3.1).
-    pub fn new(program: P, streams: Vec<ScheduledStream<P::Tag, P::Payload>>) -> Self {
-        Self::from_arc(Arc::new(program), streams)
-    }
-
-    /// Like [`Job::new`] for an already-shared program.
-    pub fn from_arc(program: Arc<P>, streams: Vec<ScheduledStream<P::Tag, P::Payload>>) -> Self {
+    /// A job over `program` (owned, or an already-shared `Arc<P>`) and
+    /// its input streams. Panics if two streams share an implementation
+    /// tag (each itag names exactly one input stream, paper §3.1).
+    pub fn new(
+        program: impl Into<Arc<P>>,
+        streams: Vec<ScheduledStream<P::Tag, P::Payload>>,
+    ) -> Self {
         let mut seen = std::collections::BTreeSet::new();
         for s in &streams {
             assert!(
@@ -306,15 +292,13 @@ impl<P: DgsProgram> Job<P> {
             );
         }
         Job {
-            program,
+            program: program.into(),
             streams,
-            strategy: PlanStrategy::default(),
             fixed_plan: None,
             rate_overrides: BTreeMap::new(),
             place_overrides: BTreeMap::new(),
             initial_state: None,
             checkpoint_roots: false,
-            sim_ns_per_tick: 1_000,
             plan_cache: std::sync::OnceLock::new(),
             infos_cache: std::sync::OnceLock::new(),
         }
@@ -339,15 +323,8 @@ impl<P: DgsProgram> Job<P> {
         self
     }
 
-    /// Select the plan optimizer (default [`PlanStrategy::CommMin`]).
-    pub fn optimizer(mut self, strategy: PlanStrategy) -> Self {
-        self.strategy = strategy;
-        self.plan_cache = std::sync::OnceLock::new();
-        self.infos_cache = std::sync::OnceLock::new();
-        self
-    }
-
-    /// Escape hatch: run exactly this plan instead of deriving one.
+    /// Run exactly this plan instead of deriving one (any P-valid plan
+    /// reproduces the specification, Theorem 3.5).
     pub fn with_plan(mut self, plan: Plan<P::Tag>) -> Self {
         self.fixed_plan = Some(plan);
         self.plan_cache = std::sync::OnceLock::new();
@@ -356,7 +333,8 @@ impl<P: DgsProgram> Job<P> {
     }
 
     /// Seed the run with this state instead of `program.init()` (used by
-    /// checkpoint recovery). Applies to every backend.
+    /// checkpoint recovery). Applies to every backend, the sequential
+    /// specification included.
     pub fn with_initial_state(mut self, state: P::State) -> Self {
         self.initial_state = Some(state);
         self
@@ -367,15 +345,6 @@ impl<P: DgsProgram> Job<P> {
     /// returned snapshots durable.
     pub fn checkpoint_roots(mut self, enable: bool) -> Self {
         self.checkpoint_roots = enable;
-        self
-    }
-
-    /// Virtual nanoseconds one schedule tick maps to on the
-    /// [`Backend::Sim`] backend (default 1000 — one tick per virtual
-    /// microsecond).
-    pub fn sim_ns_per_tick(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "ns_per_tick must be positive");
-        self.sim_ns_per_tick = ns;
         self
     }
 
@@ -424,7 +393,7 @@ impl<P: DgsProgram> Job<P> {
     }
 
     /// The synchronization plan this job runs: the [`Job::with_plan`]
-    /// override if set, otherwise the selected optimizer over
+    /// override if set, otherwise [`CommMinOptimizer`] over
     /// [`Job::derived_infos`] with the program's own dependence
     /// relation.
     pub fn plan(&self) -> Plan<P::Tag> {
@@ -432,23 +401,21 @@ impl<P: DgsProgram> Job<P> {
             return plan.clone();
         }
         self.plan_cache
-            .get_or_init(|| {
-                let infos = self.derived_infos();
-                let dep = self.program.dependence();
-                match self.strategy {
-                    PlanStrategy::CommMin => CommMinOptimizer.plan(&infos, &dep),
-                    PlanStrategy::Sequential => SequentialOptimizer.plan(&infos, &dep),
-                }
-            })
+            .get_or_init(|| CommMinOptimizer.plan(&self.derived_infos(), &self.program.dependence()))
             .clone()
     }
 
-    /// A [`SimConfig`] sized to this job: a uniform topology covering
+    /// The state a run starts from: the [`Job::with_initial_state`] seed,
+    /// or `program.init()`.
+    fn seed(&self) -> P::State {
+        self.initial_state.clone().unwrap_or_else(|| self.program.init())
+    }
+
+    /// The [`Backend::Sim`] deployment: a uniform topology covering
     /// every derived (or overridden) source location and every plan
     /// worker location, with latency recording off (replayed events
-    /// carry schedule ticks, not virtual nanoseconds — see
-    /// [`build_sim_scheduled`]).
-    pub fn auto_sim_config(&self) -> SimConfig {
+    /// carry schedule ticks, not virtual nanoseconds).
+    fn sim_config(&self) -> SimConfig {
         let info_max = self.derived_infos().iter().map(|i| i.location.0).max().unwrap_or(0);
         let plan_max = self
             .plan()
@@ -461,7 +428,6 @@ impl<P: DgsProgram> Job<P> {
             LinkSpec::default(),
         ));
         cfg.record_latency = false;
-        cfg.checkpoint_root = self.checkpoint_roots;
         cfg
     }
 }
@@ -471,15 +437,18 @@ where
     P: DgsProgram + Send + Sync + 'static,
 {
     /// Execute on the given backend and return the unified report.
-    pub fn run(&self, backend: Backend<P::State>) -> RunReport<P> {
+    pub fn run(&self, backend: Backend) -> RunReport<P> {
         let plan = self.plan();
         match backend {
-            Backend::Threads(mut opts) => {
-                if opts.initial_state.is_none() {
-                    opts.initial_state = self.initial_state.clone();
-                }
-                opts.checkpoint_root |= self.checkpoint_roots;
-                let result = run_threads(self.program.clone(), &plan, self.streams.to_vec(), opts);
+            Backend::Threads(opts) => {
+                let result = run_threads(
+                    self.program.clone(),
+                    &plan,
+                    self.streams.to_vec(),
+                    self.seed(),
+                    self.checkpoint_roots,
+                    opts,
+                );
                 RunReport {
                     plan,
                     outputs: result.outputs,
@@ -491,8 +460,7 @@ where
                     metrics: result.metrics.map(|m| m.snapshot()),
                 }
             }
-            Backend::Sim(mut cfg) => {
-                cfg.checkpoint_root |= self.checkpoint_roots;
+            Backend::Sim => {
                 let sources: Vec<ReplaySource<P::Tag, P::Payload>> = self
                     .streams
                     .iter()
@@ -504,9 +472,9 @@ where
                     self.program.clone(),
                     &plan,
                     sources,
-                    self.sim_ns_per_tick,
-                    self.initial_state.clone(),
-                    cfg,
+                    self.seed(),
+                    self.checkpoint_roots,
+                    self.sim_config(),
                 );
                 engine.run(None, u64::MAX);
                 let stats = SimStats {
@@ -528,18 +496,14 @@ where
                     metrics: None,
                 }
             }
-            Backend::Spec => self.run_spec(self.initial_state.clone()),
+            Backend::Spec => self.run_spec(plan),
         }
     }
 
-    /// The sequential-specification run, seeded with `initial` (falling
-    /// back to `program.init()`). Shared by [`Backend::Spec`] and by
-    /// [`Job::verify_on`], which must seed the reference identically to
-    /// the run under test.
-    fn run_spec(&self, initial: Option<P::State>) -> RunReport<P> {
-        let plan = self.plan();
+    /// The sequential-specification run ([`Backend::Spec`]).
+    fn run_spec(&self, plan: Plan<P::Tag>) -> RunReport<P> {
         let merged = sort_o(&item_lists(&self.streams));
-        let mut state = initial.unwrap_or_else(|| self.program.init());
+        let mut state = self.seed();
         let mut outputs: Vec<(P::Out, Timestamp)> = Vec::new();
         let mut scratch = Vec::new();
         for e in &merged {
@@ -573,18 +537,12 @@ where
     /// Run `backend` and the sequential specification, compare output
     /// multisets (Theorem 3.5), and return both reports on success.
     ///
-    /// The specification is seeded exactly like the run under test: an
-    /// `initial_state` supplied through the backend's own options (e.g.
-    /// `ThreadRunOptions::initial_state`, as recovery does) seeds the
-    /// reference too, so only genuine parallel-vs-sequential divergence
-    /// — never a seeding asymmetry — reports as a [`SpecMismatch`].
-    pub fn verify_on(&self, backend: Backend<P::State>) -> Result<Verified<P>, SpecMismatch> {
-        let seeded = match &backend {
-            Backend::Threads(opts) => opts.initial_state.clone(),
-            Backend::Sim(_) | Backend::Spec => None,
-        };
+    /// Both runs start from the job's one initial state, so only genuine
+    /// parallel-vs-sequential divergence — never a seeding asymmetry —
+    /// reports as a [`SpecMismatch`].
+    pub fn verify_on(&self, backend: Backend) -> Result<Verified<P>, SpecMismatch> {
         let run = self.run(backend);
-        let spec = self.run_spec(seeded.or_else(|| self.initial_state.clone()));
+        let spec = self.run(Backend::Spec);
         let got = run.output_multiset();
         let want = spec.output_multiset();
         if got == want {
@@ -620,6 +578,7 @@ mod tests {
     use dgs_core::event::StreamId;
     use dgs_core::examples::{KcTag, KeyCounter};
     use dgs_core::tag::Tag;
+    use dgs_plan::optimizer::SequentialOptimizer;
     use dgs_plan::plan::PlanBuilder;
 
     fn it(tag: KcTag, s: u32) -> ITag<KcTag> {
@@ -676,10 +635,9 @@ mod tests {
 
     #[test]
     fn sequential_strategy_and_fixed_plan_escape_hatch() {
-        let seq = Job::new(KeyCounter, kc_streams())
-            .optimizer(PlanStrategy::Sequential)
-            .plan();
-        assert_eq!(seq.len(), 1);
+        let job = Job::new(KeyCounter, kc_streams());
+        let seq = SequentialOptimizer.plan(&job.derived_infos(), &job.program().dependence());
+        assert_eq!(job.with_plan(seq).plan().len(), 1);
         let mut b = PlanBuilder::new();
         let root = b.add(
             [it(KcTag::Inc(1), 0), it(KcTag::Inc(1), 1), it(KcTag::ReadReset(1), 2)],
@@ -695,7 +653,7 @@ mod tests {
         let job = Job::new(KeyCounter, kc_streams());
         let spec = job.run(Backend::Spec);
         let threads = job.run(Backend::threads());
-        let sim = job.run(Backend::Sim(job.auto_sim_config()));
+        let sim = job.run(Backend::Sim);
         assert_eq!(threads.output_multiset(), spec.output_multiset());
         assert_eq!(sim.output_multiset(), spec.output_multiset());
         // Spec reports the single sequential pseudo-worker.
@@ -796,7 +754,7 @@ mod tests {
         assert_eq!(job.plan().leaf_count(), 2, "plan must fork");
         for (label, backend) in [
             ("threads", Backend::threads()),
-            ("sim", Backend::Sim(job.auto_sim_config())),
+            ("sim", Backend::Sim),
             ("spec", Backend::Spec),
         ] {
             let report = job.run(backend);
@@ -808,20 +766,17 @@ mod tests {
         }
     }
 
-    /// An initial state supplied through the backend's own options (the
-    /// recovery path) must seed the verification reference too — a
-    /// seeded run compared against an unseeded spec is a seeding
-    /// asymmetry, not a Theorem 3.5 violation.
+    /// The job's initial state (the recovery path) must seed the
+    /// verification reference too — a seeded run compared against an
+    /// unseeded spec is a seeding asymmetry, not a Theorem 3.5 violation.
     #[test]
     fn verify_seeds_the_spec_like_the_backend_run() {
         let mut seed = std::collections::BTreeMap::new();
         seed.insert(1u32, 100i64);
         let verified = Job::new(KeyCounter, kc_streams())
-            .verify_on(Backend::Threads(ThreadRunOptions {
-                initial_state: Some(seed),
-                ..Default::default()
-            }))
-            .expect("backend-seeded verification must compare seeded spec");
+            .with_initial_state(seed)
+            .verify_on(Backend::threads())
+            .expect("seeded verification must compare a seeded spec");
         // Both sides saw the seeded 100 in the first window.
         let first = |r: &RunReport<KeyCounter>| {
             r.outputs.iter().min_by_key(|(_, ts)| *ts).map(|((_, v), _)| *v).unwrap()
@@ -867,10 +822,8 @@ mod tests {
         // against the identically-seeded spec (the PR 5 seeded path).
         let suffix = crate::checkpoint::suffix_after(&streams(), *cut_ts, StreamId(0));
         Job::new(KeyCounter, suffix)
-            .verify_on(Backend::Threads(ThreadRunOptions {
-                initial_state: Some(snap.clone()),
-                ..Default::default()
-            }))
+            .with_initial_state(snap.clone())
+            .verify_on(Backend::threads())
             .expect("recovery-seeded run passes spec verification");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -16,10 +16,11 @@
 //! * [`source`] — workload descriptions: per-stream event schedules with
 //!   configurable rates and heartbeat periods.
 //! * [`sim_driver`] — runs a plan on the [`dgs-sim`](dgs_sim) cluster
-//!   simulator (the benchmark substrate).
+//!   simulator: the cost model the paper figures run on, and the engine
+//!   behind [`Backend::Sim`].
 //! * [`thread_driver`] — runs the same worker cores on real OS threads
-//!   with crossbeam channels (the "production" execution used by examples
-//!   and correctness tests).
+//!   (a sharded executor over per-edge FIFO queues): the engine behind
+//!   [`Backend::Threads`], and its options.
 //! * [`checkpoint`] — Appendix D.2 state snapshots taken when the root
 //!   joins its descendants' states, behind a storage trait.
 //! * [`durable`] — the crash-surviving checkpoint backend: append-only
@@ -46,6 +47,6 @@ pub use checkpoint::{CheckpointStore, MemoryStore};
 pub use cost::CostModel;
 pub use durable::{DurableOptions, DurableStore, Fault, FaultPlan, StoreError};
 pub use elastic::{ElasticConfig, ReplanEvent, ReplanKind};
-pub use job::{Backend, Job, PlanStrategy, RunReport};
+pub use job::{Backend, Job, RunReport};
 pub use mailbox::Mailbox;
 pub use worker::{StepEffects, WorkerCore, WorkerMsg};

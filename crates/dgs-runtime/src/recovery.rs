@@ -31,8 +31,8 @@ use dgs_plan::plan::{Plan, WorkerId};
 
 use crate::checkpoint::{suffix_after, CheckpointStore};
 use crate::durable::{DurableStore, FaultPlan, StoreError};
+use crate::job::{Backend, Job};
 use crate::source::ScheduledStream;
-use crate::thread_driver::{run_threads, ThreadRunOptions};
 
 type Streams<Prog> =
     Vec<ScheduledStream<<Prog as DgsProgram>::Tag, <Prog as DgsProgram>::Payload>>;
@@ -62,7 +62,7 @@ where
     /// Step 1: split the inputs per partition.
     fn split(prog: &Prog, plan: &Plan<Prog::Tag>, streams: &Streams<Prog>) -> Vec<Self> {
         // Every stream must belong to some partition — fail loudly up
-        // front (as `run_threads`' feeder mapping would) instead of
+        // front (as the thread driver's feeder mapping would) instead of
         // silently filtering an orphaned stream out of every sub-run.
         for s in streams {
             assert!(
@@ -73,7 +73,7 @@ where
         }
         // Each partition's sub-run must start from its chain-forked
         // *share* of the initial state, exactly as a whole-forest
-        // `run_threads` would seed it — handing every partition the full
+        // run would seed it — handing every partition the full
         // `init()` would duplicate any non-neutral initial state across
         // trees.
         let seeds = crate::worker::partition_seeds(prog, plan, prog.init());
@@ -107,16 +107,11 @@ where
         store: &mut DurableStore<Prog::State>,
     ) -> Result<(Outputs<Prog>, u64), StoreError> {
         let t_run = Instant::now();
-        let run = run_threads(
-            prog.clone(),
-            &self.plan,
-            streams,
-            ThreadRunOptions {
-                initial_state: Some(state),
-                checkpoint_root: true,
-                ..Default::default()
-            },
-        );
+        let run = Job::<Prog>::new(prog.clone(), streams)
+            .with_plan(self.plan.clone())
+            .with_initial_state(state)
+            .checkpoint_roots(true)
+            .run(Backend::threads());
         let run_ns = t_run.elapsed().as_nanos() as u64;
         // Sub-run checkpoints carry the sub-plan's root id; re-key them
         // to the original plan's root.

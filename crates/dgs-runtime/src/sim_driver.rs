@@ -5,6 +5,11 @@
 //! [`PacedSource`] becomes a source actor emitting events whose timestamps
 //! are their virtual emission times — the "well-synchronized clocks"
 //! assumption of §3.1 — so output latency is simply `now - event.ts`.
+//!
+//! [`build_sim`] + [`PacedSource`] are the cluster cost model the
+//! paper-figure benches and the baselines run on, not a second way to run
+//! a [`Job`](crate::job::Job): a job's [`Backend::Sim`](crate::job::Backend::Sim)
+//! replays its scheduled streams through the same worker actors.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -66,8 +71,6 @@ pub struct SimConfig {
     pub state_bytes: u64,
     /// Store outputs in [`SimHandles::outputs`] (disable for huge runs).
     pub keep_outputs: bool,
-    /// Take a checkpoint at each root join (Appendix D.2).
-    pub checkpoint_root: bool,
     /// Seeded adversarial cross-edge delivery scheduler (see
     /// [`dgs_sim::Engine::set_delivery_adversary`]): `Some((seed,
     /// max_jitter_ns))` permutes delivery order across edges while
@@ -87,7 +90,6 @@ impl SimConfig {
             event_bytes: 64,
             state_bytes: 256,
             keep_outputs: true,
-            checkpoint_root: false,
             adversary: None,
         }
     }
@@ -247,13 +249,17 @@ impl<Prog: DgsProgram> Actor<Msg<Prog>> for SourceActor<Prog> {
     }
 }
 
+/// Virtual nanoseconds one schedule tick maps to when a scheduled stream
+/// is replayed — one tick per virtual microsecond.
+const REPLAY_NS_PER_TICK: u64 = 1_000;
+
 /// A scheduled stream replayed into the simulator — the thread driver's
 /// workload description running on the virtual-time backend. Each item
-/// is emitted at virtual time `ts * ns_per_tick` (the `ns_per_tick`
-/// scale is a parameter of [`build_sim_scheduled`]); items whose scaled
-/// time overflows — notably the closing `Timestamp::MAX` heartbeat —
-/// are emitted immediately after the last representable item.
-pub struct ReplaySource<T: dgs_core::tag::Tag, P> {
+/// is emitted at virtual time `ts * REPLAY_NS_PER_TICK`; items whose
+/// scaled time overflows — notably the closing `Timestamp::MAX`
+/// heartbeat — are emitted immediately after the last representable
+/// item.
+pub(crate) struct ReplaySource<T: dgs_core::tag::Tag, P> {
     /// The materialized stream (same type the thread driver feeds).
     pub stream: ScheduledStream<T, P>,
     /// Node the replaying source runs on.
@@ -264,13 +270,12 @@ struct ReplayActor<Prog: DgsProgram> {
     items: Vec<StreamItem<Prog::Tag, Prog::Payload>>,
     next: usize,
     dst: ActorId,
-    ns_per_tick: u64,
     emit_cost: SimTime,
 }
 
 impl<Prog: DgsProgram> ReplayActor<Prog> {
     fn vtime(&self, ts: Timestamp) -> Option<SimTime> {
-        ts.checked_mul(self.ns_per_tick)
+        ts.checked_mul(REPLAY_NS_PER_TICK)
     }
 }
 
@@ -322,11 +327,13 @@ pub type BuiltSim<Prog> = (
 
 /// Shared wiring of both simulator builders: the engine over the
 /// topology, adversary + wire-size configuration, and one worker actor
-/// per plan worker (actor ids 0..plan.len() in worker-id order).
+/// per plan worker (actor ids 0..plan.len() in worker-id order), the
+/// partition roots snapshotting at every join when `checkpoint_root`.
 fn sim_skeleton<Prog: DgsProgram + 'static>(
     prog: &Arc<Prog>,
     plan: &Plan<Prog::Tag>,
     cfg: &SimConfig,
+    checkpoint_root: bool,
 ) -> BuiltSim<Prog> {
     let outputs = Rc::new(RefCell::new(Vec::new()));
     let checkpoints = Rc::new(RefCell::new(Vec::new()));
@@ -354,9 +361,7 @@ fn sim_skeleton<Prog: DgsProgram + 'static>(
             "plan places {id} on node {node} outside the topology"
         );
         let mut core = WorkerCore::from_plan(prog.clone(), plan, id);
-        if cfg.checkpoint_root && plan.roots().contains(&id) {
-            core.checkpoint_on_join = true;
-        }
+        core.checkpoint_on_join = checkpoint_root && plan.roots().contains(&id);
         let actor = WorkerActor::<Prog> {
             core,
             cost: cfg.cost,
@@ -397,7 +402,7 @@ pub fn build_sim<Prog: DgsProgram + 'static>(
     sources: Vec<PacedSource<Prog::Tag, Prog::Payload>>,
     cfg: SimConfig,
 ) -> BuiltSim<Prog> {
-    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg);
+    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg, false);
     for spec in sources {
         let Some(resp) = plan.responsible_for(&spec.itag) else {
             panic!("no worker responsible for source tag {:?}", spec.itag)
@@ -422,30 +427,28 @@ pub fn build_sim<Prog: DgsProgram + 'static>(
 
 /// Build a simulated deployment that *replays* the thread driver's
 /// scheduled streams: each [`ReplaySource`] becomes an actor emitting
-/// its items at `ts * ns_per_tick` virtual nanoseconds (per-stream FIFO
-/// preserved; cross-stream interleaving follows the topology's link
-/// latencies and, when configured, the adversarial delivery scheduler).
+/// its items at `ts * REPLAY_NS_PER_TICK` virtual nanoseconds
+/// (per-stream FIFO preserved; cross-stream interleaving follows the
+/// topology's link latencies and, when configured, the adversarial
+/// delivery scheduler). The partition roots are seeded with their
+/// chain-forked shares of `initial`, exactly as in [`build_sim`].
 ///
 /// This is what lets one workload description drive both execution
-/// backends — the unified `Job` API runs its `Sim` backend through
-/// here. `initial_state` overrides `prog.init()` (checkpoint recovery);
-/// the chain-forked per-root seeding is identical to [`build_sim`].
+/// backends — `Job::run` runs its `Sim` backend through here.
 ///
 /// Note on latency metrics: replayed events keep their schedule *tick*
 /// timestamps while the engine clock runs in virtual nanoseconds, so
-/// `SimConfig::record_latency` only yields meaningful samples when
-/// `ns_per_tick == 1`; callers wanting correctness runs (the common use)
-/// should disable it.
-pub fn build_sim_scheduled<Prog: DgsProgram + 'static>(
+/// `SimConfig::record_latency` yields no meaningful samples here;
+/// correctness runs (the use) disable it.
+pub(crate) fn build_sim_scheduled<Prog: DgsProgram + 'static>(
     prog: Arc<Prog>,
     plan: &Plan<Prog::Tag>,
     sources: Vec<ReplaySource<Prog::Tag, Prog::Payload>>,
-    ns_per_tick: u64,
-    initial_state: Option<Prog::State>,
+    initial: Prog::State,
+    checkpoint_root: bool,
     cfg: SimConfig,
 ) -> BuiltSim<Prog> {
-    assert!(ns_per_tick > 0, "ns_per_tick must be positive");
-    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg);
+    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg, checkpoint_root);
     for src in sources {
         let Some(resp) = plan.responsible_for(&src.stream.itag) else {
             panic!("no worker responsible for source tag {:?}", src.stream.itag)
@@ -456,12 +459,10 @@ pub fn build_sim_scheduled<Prog: DgsProgram + 'static>(
             items: src.stream.items,
             next: 0,
             dst: ActorId(resp.0),
-            ns_per_tick,
             emit_cost: cfg.cost.source_emit_ns,
         };
         engine.add_actor(node, Box::new(actor));
     }
-    let initial = initial_state.unwrap_or_else(|| prog.init());
     seed_roots(&mut engine, prog.as_ref(), plan, initial);
     (engine, handles)
 }
@@ -469,6 +470,7 @@ pub fn build_sim_scheduled<Prog: DgsProgram + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{Backend, Job};
     use dgs_core::examples::{KcTag, KeyCounter};
     use dgs_core::event::StreamId;
     use dgs_core::tag::ITag;
@@ -546,24 +548,31 @@ mod tests {
         assert_eq!(a.2, b.2);
     }
 
+    /// A job's checkpoint flag reaches the simulated partition roots: one
+    /// snapshot per root join, all tagged with the root.
     #[test]
     fn checkpointing_snapshots_root_joins() {
         let plan = counter_plan();
-        let topo = Topology::uniform(3, LinkSpec::default());
-        let mut cfg = SimConfig::new(topo);
-        cfg.checkpoint_root = true;
-        let sources = vec![
-            PacedSource::new(it(KcTag::Inc(1), 1), Location(1), 100_000, 6, |_| ())
-                .heartbeat_every(50_000),
-            PacedSource::new(it(KcTag::Inc(1), 2), Location(2), 100_000, 6, |_| ())
-                .heartbeat_every(50_000),
-            PacedSource::new(it(KcTag::ReadReset(1), 0), Location(0), 1_000_000, 2, |_| ())
-                .heartbeat_every(50_000),
+        // Ticks are virtual microseconds: the inc streams every 100 µs,
+        // the read-resets every 1 ms, heartbeats every 50 µs.
+        let streams = vec![
+            ScheduledStream::periodic(it(KcTag::ReadReset(1), 0), 1000, 1000, 2, |_| ())
+                .with_heartbeats(50)
+                .closed(u64::MAX),
+            ScheduledStream::periodic(it(KcTag::Inc(1), 1), 100, 100, 6, |_| ())
+                .with_heartbeats(50)
+                .closed(u64::MAX),
+            ScheduledStream::periodic(it(KcTag::Inc(1), 2), 100, 100, 6, |_| ())
+                .with_heartbeats(50)
+                .closed(u64::MAX),
         ];
-        let (mut engine, handles) = build_sim(Arc::new(KeyCounter), &plan, sources, cfg);
-        engine.run(None, 10_000_000);
-        assert_eq!(handles.checkpoints.borrow().len(), 2);
-        assert!(handles.checkpoints.borrow().iter().all(|(r, _, _)| *r == plan.root()));
+        let report = Job::new(KeyCounter, streams)
+            .with_plan(plan.clone())
+            .checkpoint_roots(true)
+            .run(Backend::Sim);
+        assert!(report.sim.is_some(), "ran on the simulator");
+        assert_eq!(report.checkpoints.len(), 2);
+        assert!(report.checkpoints.iter().all(|(r, _, _)| *r == plan.root()));
     }
 
     /// Replaying the thread driver's scheduled streams on the simulator
@@ -601,8 +610,9 @@ mod tests {
         let topo = Topology::uniform(3, LinkSpec { latency: 5_000, bytes_per_ns: 1.0 });
         let mut cfg = SimConfig::new(topo);
         cfg.record_latency = false; // tick timestamps vs ns clock
+        let init = KeyCounter.init();
         let (mut engine, handles) =
-            build_sim_scheduled(Arc::new(KeyCounter), &plan, sources, 1_000, None, cfg);
+            build_sim_scheduled(Arc::new(KeyCounter), &plan, sources, init, false, cfg);
         let outcome = engine.run(None, u64::MAX);
         assert_eq!(outcome, dgs_sim::engine::RunOutcome::QueueEmpty);
         let mut got: Vec<_> = handles.outputs.borrow().iter().map(|(o, _)| *o).collect();
@@ -641,34 +651,34 @@ mod tests {
         b.attach(r2, b1);
         b.attach(r2, b2);
         let plan = b.build_forest();
-        let topo = Topology::uniform(6, LinkSpec::default());
-        let mut cfg = SimConfig::new(topo);
-        cfg.checkpoint_root = true;
-        let sources = vec![
-            PacedSource::new(it(KcTag::Inc(1), 1), Location(1), 500_000, 10, |_| ())
-                .heartbeat_every(200_000),
-            PacedSource::new(it(KcTag::Inc(1), 2), Location(2), 500_000, 10, |_| ())
-                .heartbeat_every(200_000),
-            PacedSource::new(it(KcTag::ReadReset(1), 0), Location(0), 3_000_000, 2, |_| ())
-                .heartbeat_every(200_000),
-            PacedSource::new(it(KcTag::Inc(2), 4), Location(4), 400_000, 12, |_| ())
-                .heartbeat_every(200_000),
-            PacedSource::new(it(KcTag::Inc(2), 5), Location(5), 400_000, 12, |_| ())
-                .heartbeat_every(200_000),
-            PacedSource::new(it(KcTag::ReadReset(2), 3), Location(3), 2_500_000, 3, |_| ())
-                .heartbeat_every(200_000),
+        // Stream `s` arrives at node `s`, where its worker runs; ticks are
+        // virtual microseconds and every source heartbeats each 200 µs.
+        let stream = |tag, s, period, count| {
+            ScheduledStream::periodic(it(tag, s), period, period, count, |_| ())
+                .with_heartbeats(200)
+                .closed(u64::MAX)
+        };
+        let streams = vec![
+            stream(KcTag::ReadReset(1), 0, 3000, 2),
+            stream(KcTag::Inc(1), 1, 500, 10),
+            stream(KcTag::Inc(1), 2, 500, 10),
+            stream(KcTag::ReadReset(2), 3, 2500, 3),
+            stream(KcTag::Inc(2), 4, 400, 12),
+            stream(KcTag::Inc(2), 5, 400, 12),
         ];
-        let (mut engine, handles) = build_sim(Arc::new(KeyCounter), &plan, sources, cfg);
-        let outcome = engine.run(None, u64::MAX);
-        assert_eq!(outcome, dgs_sim::engine::RunOutcome::QueueEmpty);
-        let outputs = handles.outputs.borrow();
+        let report = Job::new(KeyCounter, streams)
+            .with_plan(plan)
+            .checkpoint_roots(true)
+            .run(Backend::Sim);
+        assert!(report.sim.is_some(), "ran on the simulator");
+        let outputs = &report.outputs;
         // 2 + 3 read-resets; totals conserved per key.
         assert_eq!(outputs.len(), 5);
         let total_k1: i64 = outputs.iter().filter(|((k, _), _)| *k == 1).map(|((_, v), _)| *v).sum();
         let total_k2: i64 = outputs.iter().filter(|((k, _), _)| *k == 2).map(|((_, v), _)| *v).sum();
         assert_eq!((total_k1, total_k2), (20, 24));
         // Per-root checkpoint attribution.
-        let cps = handles.checkpoints.borrow();
+        let cps = &report.checkpoints;
         assert_eq!(cps.iter().filter(|(r, _, _)| *r == r1).count(), 2);
         assert_eq!(cps.iter().filter(|(r, _, _)| *r == r2).count(), 3);
     }

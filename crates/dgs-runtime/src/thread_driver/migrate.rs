@@ -6,6 +6,7 @@
 //! one function each below.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
@@ -152,8 +153,7 @@ pub(super) struct Controller<'a, Prog: DgsProgram> {
     /// after a migration).
     stream_itags: Vec<ITag<Prog::Tag>>,
     stream_part: Vec<usize>,
-    checkpoint_root: bool,
-    ingress_capacity: usize,
+    ingress_capacity: NonZeroUsize,
     on_replan: Option<ReplanHook>,
     detector: Detector,
     /// Per-stream fed-event counts at the previous tick.
@@ -175,7 +175,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
         plan: &Plan<Prog::Tag>,
         stream_itags: Vec<ITag<Prog::Tag>>,
         stream_part: Vec<usize>,
-        options: &mut ThreadRunOptions<Prog::State>,
+        options: &mut ThreadRunOptions,
     ) -> Self {
         let parts: Vec<PartState<Prog::Tag>> = plan
             .roots()
@@ -206,7 +206,6 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
             parts,
             stream_itags,
             stream_part,
-            checkpoint_root: options.checkpoint_root,
             ingress_capacity: options.ingress_capacity,
             on_replan: options.on_replan.take(),
         }
@@ -448,7 +447,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
             .zip(wired.routes)
             .map(|(((lid, _), inbox), routes)| {
                 let mut core = WorkerCore::from_plan(self.prog.clone(), sub_plan, lid);
-                core.checkpoint_on_join = self.checkpoint_root && lid == sub_plan.root();
+                core.checkpoint_on_join = run.checkpoint_root && lid == sub_plan.root();
                 WorkerTask::new(
                     slots[lid.0],
                     self.parts[p].cp_root,
@@ -519,7 +518,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
         let run = self.run;
         for &si in &self.parts[p].streams {
             if let Some(lid) = sub_plan.responsible_for(&self.stream_itags[si]) {
-                let edge = run.storage.edge(&handles[lid.0], Some(self.ingress_capacity));
+                let edge = run.storage.edge(&handles[lid.0], Some(self.ingress_capacity.get()));
                 run.ctl.set_reroute(si, edge);
             }
         }

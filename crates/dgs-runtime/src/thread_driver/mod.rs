@@ -31,8 +31,9 @@
 //! as a poll-able task and what it leaves behind), `executor`
 //! (scheduler, placement, shard loop), `feeder` (paced and unpaced
 //! source loops and their control plane), `migrate` (the elastic replan
-//! controller); [`run_threads`] below reads wire → seed → spawn → await
-//! quiescence → shut down → collect.
+//! controller); `run_threads` below reads wire → seed → spawn → await
+//! quiescence → shut down → collect. It is reached only through
+//! [`Job::run`](crate::job::Job::run) with [`Backend::Threads`](crate::job::Backend::Threads).
 //!
 //! # Delivery plane
 //!
@@ -82,7 +83,8 @@
 //! chain-forked along the partition predicates
 //! ([`partition_seeds`]) and each root
 //! receives its share directly — no synthetic coordinator worker exists
-//! to fork it at runtime. Checkpointing (`checkpoint_root`) snapshots at
+//! to fork it at runtime. Checkpointing
+//! ([`Job::checkpoint_roots`](crate::job::Job::checkpoint_roots)) snapshots at
 //! *every* partition root's joins; each checkpoint is tagged with the
 //! root that took it.
 
@@ -93,6 +95,7 @@ mod task;
 mod wiring;
 
 use std::any::Any;
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 use dgs_sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -130,6 +133,9 @@ struct RunShared<Prog: DgsProgram> {
     driver_plane: Mutex<Routes<Prog>>,
     ctl: FeederControl<Prog>,
     stopper: Stopper,
+    /// Partition roots snapshot their state at every join — including
+    /// the roots of sub-plans an elastic replan builds.
+    checkpoint_root: bool,
 }
 
 impl<Prog: DgsProgram> RunShared<Prog> {
@@ -166,13 +172,16 @@ impl<Prog: DgsProgram> RunShared<Prog> {
     }
 }
 
-/// Execute `plan` over the given input streams and return every output
-/// once the system is quiescent.
-pub fn run_threads<Prog>(
+/// Execute `plan` over the given input streams, its partition roots
+/// seeded with their shares of `initial`, and return every output once
+/// the system is quiescent.
+pub(crate) fn run_threads<Prog>(
     prog: Arc<Prog>,
     plan: &Plan<Prog::Tag>,
     streams: Vec<ScheduledStream<Prog::Tag, Prog::Payload>>,
-    mut options: ThreadRunOptions<Prog::State>,
+    initial: Prog::State,
+    checkpoint_root: bool,
+    mut options: ThreadRunOptions,
 ) -> ThreadRunResult<Prog::State, Prog::Out>
 where
     Prog: DgsProgram + Send + Sync + 'static,
@@ -186,7 +195,6 @@ where
     let shards_n = options.executor_threads.unwrap_or(default_par).max(1).min(n.max(1));
     let storage = EdgeStorage::for_shards(shards_n);
     let elastic = options.elastic.take();
-    options.ingress_capacity = options.ingress_capacity.max(1);
     // The slab is sized for the initial plan plus the elastic reserve.
     // Retired slots are never reused: every migrated sub-plan gets fresh
     // slots, so per-slot metrics, traces, and effect counters each
@@ -229,7 +237,6 @@ where
         metrics: metrics.clone(),
         pace: options.pace_ns_per_tick,
         start: Instant::now(),
-        flush_every: options.metrics_flush_every.max(1),
     };
     let tasks: TaskSlab<Prog> = plan
         .iter()
@@ -237,7 +244,7 @@ where
         .zip(routes)
         .map(|(((id, _), inbox), routes)| {
             let mut core = WorkerCore::from_plan(prog.clone(), plan, id);
-            core.checkpoint_on_join = options.checkpoint_root && plan.roots().contains(&id);
+            core.checkpoint_on_join = checkpoint_root && plan.roots().contains(&id);
             let part = part_of[id.0];
             Mutex::new(Some(WorkerTask::new(
                 id.0,
@@ -255,7 +262,6 @@ where
     // Seed each partition root with its share of the initial state
     // (chain-forked along the partition predicates; a single-root plan
     // receives the state whole).
-    let initial = options.initial_state.take().unwrap_or_else(|| prog.init());
     for (&root, seed) in plan.roots().iter().zip(partition_seeds(prog.as_ref(), plan, initial)) {
         let tx = driver_plane[root.0].as_ref().expect("every initial worker has a driver edge");
         let seed = ThreadMsg::Protocol(WorkerMsg::StateDown { state: seed });
@@ -276,7 +282,7 @@ where
         feeds[si % n_feeders].push(Feed {
             si,
             part: stream_part[si],
-            route: storage.edge(&handles[stream_dsts[si]], Some(options.ingress_capacity)),
+            route: storage.edge(&handles[stream_dsts[si]], Some(options.ingress_capacity.get())),
             items: stream.items.into_iter(),
         });
     }
@@ -292,6 +298,7 @@ where
         driver_plane: Mutex::new(driver_plane),
         ctl,
         stopper: Stopper::default(),
+        checkpoint_root,
     };
     let controller = elastic.map(|cfg| {
         Controller::new(&run, prog.clone(), cfg, plan, stream_itags, stream_part, &mut options)
@@ -415,7 +422,7 @@ fn collect<Prog: DgsProgram>(
 
 /// Result of a threaded run.
 #[derive(Debug)]
-pub struct ThreadRunResult<S, Out> {
+pub(crate) struct ThreadRunResult<S, Out> {
     /// All outputs with their triggering event timestamps (arbitrary
     /// interleaving across workers).
     pub outputs: Vec<(Out, Timestamp)>,
@@ -499,13 +506,12 @@ pub struct RunTiming {
     pub output_latency_ns: Vec<u64>,
 }
 
-/// Options for [`run_threads`].
-pub struct ThreadRunOptions<S> {
-    /// Seed the root with this state instead of `prog.init()` (used by
-    /// checkpoint recovery).
-    pub initial_state: Option<S>,
-    /// Snapshot the root state at every root join.
-    pub checkpoint_root: bool,
+/// Options of the real-thread backend,
+/// [`Backend::Threads`](crate::job::Backend::Threads). What a run starts
+/// from and whether it checkpoints are the job's, not the backend's:
+/// [`Job::with_initial_state`](crate::job::Job::with_initial_state) and
+/// [`Job::checkpoint_roots`](crate::job::Job::checkpoint_roots).
+pub struct ThreadRunOptions {
     /// Pace every source against the wall clock: the item with virtual
     /// timestamp `t` is released no earlier than `start + t * pace`
     /// nanoseconds. `None` feeds at full speed. Timestamps whose product
@@ -523,20 +529,14 @@ pub struct ThreadRunOptions<S> {
     pub executor_threads: Option<usize>,
     /// Capacity of each feeder→worker ingress edge: a full edge blocks
     /// the feeder (backpressure) instead of growing an unbounded queue.
-    /// Clamped to at least 1.
-    pub ingress_capacity: usize,
+    pub ingress_capacity: NonZeroUsize,
     /// Collect live metrics into a [`RunMetrics`] registry (the default;
     /// the cost is thread-local tallies plus a few relaxed stores every
-    /// [`ThreadRunOptions::metrics_flush_every`] messages). Disable for
-    /// A/B overhead measurement.
+    /// 256 handled messages). Disable for A/B overhead measurement.
     pub metrics: bool,
-    /// Worker tallies (and queue-depth samples) flush into the registry
-    /// every this many handled messages. Small values make mid-run
-    /// snapshots fresher at more store traffic; clamped to at least 1.
-    pub metrics_flush_every: u64,
     /// When set, the live registry is published here as soon as the run's
     /// shape is known, so another thread can take mid-run snapshots while
-    /// [`run_threads`] blocks (the CLI's `--metrics-interval` sampler).
+    /// the run blocks (the CLI's `--metrics-interval` sampler).
     pub metrics_slot: Option<Arc<OnceLock<Arc<RunMetrics>>>>,
     /// Elastic hot-partition scale-out: when set, a controller thread
     /// samples per-stream arrival rates and per-slot queue depths at
@@ -554,17 +554,14 @@ pub struct ThreadRunOptions<S> {
 /// [`ThreadRunOptions::on_replan`]).
 pub type ReplanHook = Box<dyn Fn(&ReplanEvent) + Send>;
 
-impl<S> Default for ThreadRunOptions<S> {
+impl Default for ThreadRunOptions {
     fn default() -> Self {
         ThreadRunOptions {
-            initial_state: None,
-            checkpoint_root: false,
             pace_ns_per_tick: None,
             record_timing: false,
             executor_threads: None,
-            ingress_capacity: 1024,
+            ingress_capacity: NonZeroUsize::new(1024).expect("nonzero"),
             metrics: true,
-            metrics_flush_every: 256,
             metrics_slot: None,
             elastic: None,
             on_replan: None,
@@ -574,6 +571,7 @@ impl<S> Default for ThreadRunOptions<S> {
 
 #[cfg(test)]
 mod tests {
+    use super::task::METRICS_FLUSH_EVERY;
     use super::*;
     use crate::elastic::ReplanKind;
     use dgs_core::event::StreamId;
@@ -611,6 +609,17 @@ mod tests {
         ]
     }
 
+    /// Run KeyCounter over `streams` on `plan`, seeded with `init()`.
+    fn run_kc(
+        plan: &Plan<KcTag>,
+        streams: Vec<ScheduledStream<KcTag, ()>>,
+        checkpoint_root: bool,
+        options: ThreadRunOptions,
+    ) -> ThreadRunResult<<KeyCounter as DgsProgram>::State, (u32, i64)> {
+        let init = KeyCounter.init();
+        run_threads(Arc::new(KeyCounter), plan, streams, init, checkpoint_root, options)
+    }
+
     /// The sequential specification's outputs for `streams`, sorted.
     fn spec_sorted(streams: &[ScheduledStream<KcTag, ()>]) -> Vec<(u32, i64)> {
         let mut want = run_sequential(&KeyCounter, &sort_o(&item_lists(streams))).1;
@@ -628,8 +637,7 @@ mod tests {
     #[test]
     fn threaded_run_matches_sequential_spec() {
         let plan = counter_plan();
-        let result =
-            run_threads(Arc::new(KeyCounter), &plan, workload(), ThreadRunOptions::default());
+        let result = run_kc(&plan, workload(), false, ThreadRunOptions::default());
         let got = sorted_outputs(&result);
         assert_eq!(got, spec_sorted(&workload()));
         // 8 read-resets -> 8 outputs, 200 increments counted in total.
@@ -645,12 +653,7 @@ mod tests {
         let plan = counter_plan();
         let mut baseline: Option<Vec<(u32, i64)>> = None;
         for _ in 0..5 {
-            let result = run_threads(
-                Arc::new(KeyCounter),
-                &plan,
-                workload(),
-                ThreadRunOptions::default(),
-            );
+            let result = run_kc(&plan, workload(), false, ThreadRunOptions::default());
             let got = sorted_outputs(&result);
             match &baseline {
                 None => baseline = Some(got),
@@ -668,10 +671,10 @@ mod tests {
         let plan = counter_plan();
         let want = spec_sorted(&workload());
         for threads in [1usize, 2, 4] {
-            let result = run_threads(
-                Arc::new(KeyCounter),
+            let result = run_kc(
                 &plan,
                 workload(),
+                false,
                 ThreadRunOptions {
                     executor_threads: Some(threads),
                     record_timing: true,
@@ -700,10 +703,10 @@ mod tests {
             (counter_plan(), 2, 2, "per-edge-ring"),
             (one_worker, 8, 1, "per-edge"),
         ] {
-            let result = run_threads(
-                Arc::new(KeyCounter),
+            let result = run_kc(
                 &plan,
                 workload(),
+                false,
                 ThreadRunOptions {
                     record_timing: true,
                     executor_threads: Some(requested),
@@ -724,10 +727,10 @@ mod tests {
         let plan = counter_plan();
         let want = spec_sorted(&workload());
         for threads in [1usize, 2, 8] {
-            let result = run_threads(
-                Arc::new(KeyCounter),
+            let result = run_kc(
                 &plan,
                 workload(),
+                false,
                 ThreadRunOptions {
                     executor_threads: Some(threads),
                     record_timing: true,
@@ -825,6 +828,8 @@ mod tests {
                     Arc::new(Exploding),
                     &plan,
                     streams,
+                    0,
+                    false,
                     ThreadRunOptions { executor_threads: Some(threads), ..Default::default() },
                 )
             }));
@@ -834,24 +839,24 @@ mod tests {
 
     /// A tiny ingress capacity forces feeders through the backpressure
     /// path; the run must still complete with the full output set, on
-    /// both storages. Capacity 0 is clamped to 1 rather than panicking
-    /// inside wiring.
+    /// both storages.
     #[test]
     fn per_edge_backpressure_preserves_outputs() {
         let plan = counter_plan();
         let want = spec_sorted(&workload());
-        for (ingress_capacity, threads) in [(0, 1), (0, 2), (2, 1), (2, 2)] {
-            let result = run_threads(
-                Arc::new(KeyCounter),
+        for (capacity, threads) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            let ingress_capacity = NonZeroUsize::new(capacity).expect("nonzero");
+            let result = run_kc(
                 &plan,
                 workload(),
+                false,
                 ThreadRunOptions {
                     ingress_capacity,
                     executor_threads: Some(threads),
                     ..Default::default()
                 },
             );
-            let cell = format!("capacity {ingress_capacity}, {threads} shard(s)");
+            let cell = format!("capacity {capacity}, {threads} shard(s)");
             assert_eq!(sorted_outputs(&result), want, "{cell}");
             // Squeezing hundreds of items through such edges must have
             // blocked the feeders, and the registry must have seen it.
@@ -866,12 +871,7 @@ mod tests {
     #[test]
     fn metrics_registry_matches_effects_and_can_be_disabled() {
         let plan = counter_plan();
-        let result = run_threads(
-            Arc::new(KeyCounter),
-            &plan,
-            workload(),
-            ThreadRunOptions::default(),
-        );
+        let result = run_kc(&plan, workload(), false, ThreadRunOptions::default());
         let m = result.metrics.as_ref().expect("metrics are on by default").snapshot();
         for (w, ws) in m.workers.iter().enumerate() {
             assert_eq!(ws.msgs, result.effects.msgs[w], "worker {w} msgs");
@@ -889,12 +889,8 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == dgs_metrics::TraceKind::Join));
-        let off = run_threads(
-            Arc::new(KeyCounter),
-            &plan,
-            workload(),
-            ThreadRunOptions { metrics: false, ..Default::default() },
-        );
+        let off =
+            run_kc(&plan, workload(), false, ThreadRunOptions { metrics: false, ..Default::default() });
         assert!(off.metrics.is_none());
     }
 
@@ -903,16 +899,28 @@ mod tests {
     /// design over the old store-once-at-exit tallies.
     #[test]
     fn mid_run_snapshot_sees_live_counters() {
+        // Long enough that every worker handles several flush periods
+        // (256 messages each) well before the last item is fed.
+        let streams = || {
+            vec![
+                ScheduledStream::periodic(it(KcTag::ReadReset(1), 0), 20, 20, 100, |_| ())
+                    .with_heartbeats(2)
+                    .closed(u64::MAX),
+                ScheduledStream::periodic(it(KcTag::Inc(1), 1), 1, 2, 1000, |_| ())
+                    .with_heartbeats(7)
+                    .closed(u64::MAX),
+                ScheduledStream::periodic(it(KcTag::Inc(1), 2), 2, 2, 1000, |_| ())
+                    .with_heartbeats(7)
+                    .closed(u64::MAX),
+            ]
+        };
         let slot: Arc<OnceLock<Arc<RunMetrics>>> = Arc::new(OnceLock::new());
         let opts = ThreadRunOptions {
-            pace_ns_per_tick: Some(500_000), // 400 ticks -> ≥ 200 ms wall
-            metrics_flush_every: 1,
+            pace_ns_per_tick: Some(100_000), // 2000 ticks -> ≥ 200 ms wall
             metrics_slot: Some(slot.clone()),
             ..Default::default()
         };
-        let run = std::thread::spawn(move || {
-            run_threads(Arc::new(KeyCounter), &counter_plan(), workload(), opts)
-        });
+        let run = std::thread::spawn(move || run_kc(&counter_plan(), streams(), false, opts));
         // The registry is published as soon as the run's shape is known.
         let registry = loop {
             if let Some(m) = slot.get() {
@@ -929,6 +937,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         };
         let result = run.join().expect("run panicked");
+        assert!(
+            result.effects.msgs.iter().all(|&m| m > 2 * METRICS_FLUSH_EVERY),
+            "every worker must pass several flushes: {:?}",
+            result.effects.msgs
+        );
         let final_msgs: u64 = result.effects.msgs.iter().sum();
         assert!(mid.total_msgs() > 0, "mid-run snapshot must be non-zero");
         assert!(
@@ -941,12 +954,7 @@ mod tests {
     #[test]
     fn checkpoints_collected_when_enabled() {
         let plan = counter_plan();
-        let result = run_threads(
-            Arc::new(KeyCounter),
-            &plan,
-            workload(),
-            ThreadRunOptions { initial_state: None, checkpoint_root: true, ..Default::default() },
-        );
+        let result = run_kc(&plan, workload(), true, ThreadRunOptions::default());
         // One checkpoint per root join (8 read-resets), all tagged with
         // the single partition root.
         assert_eq!(result.checkpoints.len(), 8);
@@ -1001,12 +1009,11 @@ mod tests {
         };
         let want = spec_sorted(&streams());
         for threads in [1usize, 2, 4] {
-            let result = run_threads(
-                Arc::new(KeyCounter),
+            let result = run_kc(
                 &plan,
                 streams(),
+                true,
                 ThreadRunOptions {
-                    checkpoint_root: true,
                     executor_threads: Some(threads),
                     record_timing: true,
                     ..Default::default()
@@ -1045,11 +1052,9 @@ mod tests {
             Arc::new(KeyCounter),
             &plan,
             streams,
-            ThreadRunOptions {
-                initial_state: Some(seed),
-                checkpoint_root: false,
-                ..Default::default()
-            },
+            seed,
+            false,
+            ThreadRunOptions::default(),
         );
         assert_eq!(result.outputs.len(), 1);
         assert_eq!(result.outputs[0].0, (1, 42));
@@ -1090,13 +1095,11 @@ mod tests {
     fn timing_records_wall_messages_and_paced_latency() {
         let plan = counter_plan();
         let streams = workload(); // last event ts = 400
-        let result = run_threads(
-            Arc::new(KeyCounter),
+        let result = run_kc(
             &plan,
             streams,
+            false,
             ThreadRunOptions {
-                initial_state: None,
-                checkpoint_root: false,
                 pace_ns_per_tick: Some(20_000), // 400 ticks -> ≥ 8 ms wall
                 record_timing: true,
                 ..Default::default()
@@ -1119,13 +1122,11 @@ mod tests {
     #[test]
     fn unpaced_timing_has_no_latencies() {
         let plan = counter_plan();
-        let result = run_threads(
-            Arc::new(KeyCounter),
+        let result = run_kc(
             &plan,
             workload(),
+            false,
             ThreadRunOptions {
-                initial_state: None,
-                checkpoint_root: false,
                 pace_ns_per_tick: None,
                 record_timing: true,
                 ..Default::default()
@@ -1168,12 +1169,11 @@ mod tests {
         // ~400 ticks at 50 µs/tick ≈ 20 ms of wall clock; with one
         // partition the rate always equals the mean, so `hot_ratio: 1.0`
         // (the detector compares with >=) trips as soon as traffic flows.
-        let result = run_threads(
-            Arc::new(KeyCounter),
+        let result = run_kc(
             &plan,
             streams(),
+            true,
             ThreadRunOptions {
-                checkpoint_root: true,
                 pace_ns_per_tick: Some(50_000),
                 elastic: Some(ElasticConfig {
                     interval: Duration::from_millis(2),
@@ -1253,12 +1253,11 @@ mod tests {
         };
         // ~1400 ticks at 50 µs/tick ≈ 70 ms; partition B runs at a few
         // percent of the mean rate, far below `cold_ratio: 0.5`.
-        let result = run_threads(
-            Arc::new(KeyCounter),
+        let result = run_kc(
             &plan,
             streams(),
+            true,
             ThreadRunOptions {
-                checkpoint_root: true,
                 pace_ns_per_tick: Some(50_000),
                 elastic: Some(ElasticConfig {
                     interval: Duration::from_millis(2),
@@ -1320,12 +1319,11 @@ mod tests {
             ]
         };
         // ~1000 ticks at 50 µs/tick ≈ 50 ms of wall clock.
-        let result = run_threads(
-            Arc::new(KeyCounter),
+        let result = run_kc(
             &plan,
             streams(),
+            true,
             ThreadRunOptions {
-                checkpoint_root: true,
                 pace_ns_per_tick: Some(50_000),
                 elastic: Some(ElasticConfig {
                     interval: Duration::from_millis(2),

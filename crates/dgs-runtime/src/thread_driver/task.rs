@@ -35,9 +35,11 @@ pub(super) struct TaskEnv {
     /// [`ThreadRunOptions::pace_ns_per_tick`](super::ThreadRunOptions).
     pub(super) pace: Option<u64>,
     pub(super) start: Instant,
-    /// Task tallies flush into the registry every this many messages.
-    pub(super) flush_every: u64,
 }
+
+/// Task tallies (and queue-depth samples) flush into the live registry
+/// every this many handled messages.
+pub(super) const METRICS_FLUSH_EVERY: u64 = 256;
 
 /// Latency of an output produced at `at`, measured from the *scheduled*
 /// emission time of its triggering event (`start + ts * ns_per_tick`; a
@@ -114,7 +116,7 @@ where
     outputs: Vec<Stamped<Prog::Out>>,
     checkpoints: Vec<(Prog::State, Timestamp)>,
     // Task-local effect tallies, flushed into the registry every
-    // `flush_every` messages and handed over when the task retires —
+    // `METRICS_FLUSH_EVERY` messages and handed over when the task retires —
     // per-message atomic RMWs on adjacent slots would put false sharing
     // on the exact hot path the `bench/` workloads measure.
     msgs: u64,
@@ -242,7 +244,7 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
     /// Handle one protocol message delivered through the inbox.
     fn step(&mut self, wm: ProtocolMsg<Prog>) {
         self.handle(wm);
-        if self.env.metrics.is_some() && self.msgs.is_multiple_of(self.env.flush_every) {
+        if self.env.metrics.is_some() && self.msgs.is_multiple_of(METRICS_FLUSH_EVERY) {
             self.flush_registry();
         }
         self.route_effects();

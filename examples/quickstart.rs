@@ -67,7 +67,7 @@ fn main() {
     // 5. The same job runs unchanged on the deterministic cluster
     //    simulator (one node per stream, link latencies simulated).
     // ------------------------------------------------------------------
-    let sim = job.run(Backend::Sim(job.auto_sim_config()));
+    let sim = job.run(Backend::Sim);
     assert_eq!(sim.output_multiset(), verified.spec.output_multiset());
     let stats = sim.sim.expect("engine stats");
     println!(

@@ -32,10 +32,12 @@
 //! come from the streams' own schedules (overridable with
 //! [`Job::rate`] / [`Job::place`]), the dependence relation comes from
 //! the program itself, the plan from the Appendix-B optimizer
-//! ([`PlanStrategy`] selects; [`Job::with_plan`] pins), and execution
-//! goes through one [`Backend`] — real threads, the deterministic
-//! simulator, or the sequential specification — all returning the same
-//! [`RunReport`].
+//! ([`Job::with_plan`] pins another), and execution goes through one
+//! [`Backend`] — real threads, the deterministic simulator, or the
+//! sequential specification — all returning the same [`RunReport`]. The
+//! initial state ([`Job::with_initial_state`]) and the checkpoint flag
+//! ([`Job::checkpoint_roots`]) are set on the job, once, for every
+//! backend.
 //!
 //! Checkpoints become crash-durable with one more call *after* the
 //! run: [`Job::checkpoint_roots`] makes the run return its root-join
@@ -48,19 +50,19 @@
 //! whole kill/reopen/replay cycle, with [`FaultPlan`] injecting
 //! deterministic crash wreckage underneath for tests and benchmarks.
 //!
-//! ## The low-level layer
+//! ## One front door
 //!
-//! `Job` composes public pieces that remain the documented API for
-//! driver-specific control: hand-built
-//! [`ITagInfo`](crate::plan::optimizer::ITagInfo)s into an
-//! [`Optimizer`](crate::plan::optimizer::Optimizer),
-//! [`run_threads`](crate::runtime::thread_driver::run_threads) with full
-//! [`ThreadRunOptions`], and
-//! [`build_sim`](crate::runtime::sim_driver::build_sim) /
-//! [`build_sim_scheduled`](crate::runtime::sim_driver::build_sim_scheduled)
-//! with topologies, cost models, and the adversarial delivery scheduler.
-//! `tests/api_equivalence.rs` proves the two layers produce identical
-//! plans and output multisets.
+//! `Job` is the only way to run a plan; the drivers behind its backends
+//! are not public. [`build_sim`](crate::runtime::sim_driver::build_sim)
+//! over [`PacedSource`](crate::runtime::source::PacedSource)s, with
+//! explicit topologies, cost models and the adversarial delivery
+//! scheduler, is the cluster model the paper figures are measured on —
+//! an evaluation substrate, not a second way to run a job. The thread
+//! driver's entry point stays closed:
+//!
+//! ```compile_fail,E0603
+//! use flumina::runtime::thread_driver::run_threads;
+//! ```
 //!
 //! [`DgsProgram`]: crate::core::program::DgsProgram
 
@@ -71,10 +73,7 @@ pub use dgs_runtime::durable::{
     DurableOptions, DurableStore, Fault, FaultPlan, OpenReport, StoreError,
 };
 pub use dgs_runtime::elastic::{ElasticConfig, ReplanEvent, ReplanKind};
-pub use dgs_runtime::job::{
-    Backend, Job, PlanStrategy, RunReport, SimStats, SpecMismatch, Verified,
-};
+pub use dgs_runtime::job::{Backend, Job, RunReport, SimStats, SpecMismatch, Verified};
 pub use dgs_runtime::recovery::{run_durable_with_recovery, DurableRecovery};
-pub use dgs_runtime::sim_driver::SimConfig;
 pub use dgs_runtime::source::ScheduledStream;
 pub use dgs_runtime::thread_driver::{RunEffects, RunTiming, ThreadRunOptions};

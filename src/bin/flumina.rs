@@ -11,6 +11,10 @@
 //! flumina list                                       list available workloads
 //! ```
 //!
+//! Each command takes only the flags listed on its line; any other flag
+//! (or a stray argument) is refused with the usage line and exit 2, the
+//! same as an unknown flag.
+//!
 //! `run --checkpoint-dir D` persists the run's root-join checkpoints,
 //! once it has verified, into a crash-durable
 //! [`DurableStore`](flumina::api::DurableStore) under `D` (append-only
@@ -55,6 +59,7 @@
 //! call (Theorem 3.5 as a CLI exit code).
 
 use dgs_sync::atomic::{AtomicBool, Ordering};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, OnceLock};
 
 use flumina::api::{
@@ -83,14 +88,34 @@ struct Args {
 
 fn usage() -> String {
     format!(
-        "usage: flumina <plan|run|sim> <workload> [-n N] [--dot] [--checkpoint-dir D]\n                [--metrics] [--metrics-out FILE] [--metrics-interval MS]\n                [--trace-out FILE] [--pace NS] [--executor-threads N]\n                [--elastic | --no-elastic]\n       flumina metrics-lint <FILE>\n       flumina list\nworkloads: {}",
+        "usage: flumina plan <workload> [-n N] [--dot]\n       flumina run  <workload> [-n N] [--checkpoint-dir D] [--metrics] [--metrics-out FILE]\n                    [--metrics-interval MS] [--trace-out FILE] [--pace NS]\n                    [--executor-threads N] [--elastic | --no-elastic]\n       flumina sim  <workload> [-n N]\n       flumina metrics-lint <FILE>\n       flumina list\nworkloads: {}",
         registry::names().join(" | ")
     )
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
+/// The flags `cmd` takes (`None`: not a command).
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    match cmd {
+        "plan" => Some(&["-n", "--parallelism", "--dot"]),
+        "run" => Some(&[
+            "-n", "--parallelism", "--checkpoint-dir", "--metrics", "--metrics-out",
+            "--metrics-interval", "--trace-out", "--pace", "--executor-threads", "--elastic",
+            "--no-elastic",
+        ]),
+        "sim" => Some(&["-n", "--parallelism"]),
+        "metrics-lint" | "list" => Some(&[]),
+        _ => None,
+    }
+}
+
+/// Parse the arguments after the program name, refusing any flag the
+/// command does not take.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut it = argv.iter().cloned();
     let cmd = it.next().ok_or("missing command (plan | run | sim | metrics-lint | list)")?;
+    let takes = flags_of(&cmd).ok_or_else(|| {
+        format!("unknown command {cmd:?}; expected plan | run | sim | metrics-lint | list")
+    })?;
     let mut args = Args {
         cmd,
         workload: String::new(),
@@ -105,15 +130,17 @@ fn parse_args() -> Result<Args, String> {
         executor_threads: None,
         elastic: false,
     };
-    if args.cmd == "list" {
-        return Ok(args);
+    if args.cmd != "list" {
+        args.workload = it.next().ok_or(if args.cmd == "metrics-lint" {
+            "missing exposition file path"
+        } else {
+            "missing workload name"
+        })?;
     }
-    args.workload = it.next().ok_or(if args.cmd == "metrics-lint" {
-        "missing exposition file path"
-    } else {
-        "missing workload name"
-    })?;
     while let Some(a) = it.next() {
+        if !takes.contains(&a.as_str()) {
+            return Err(format!("`{}` does not take {a:?}", args.cmd));
+        }
         let mut value = |flag: &str| it.next().ok_or(format!("missing value after {flag}"));
         match a.as_str() {
             "-n" | "--parallelism" => {
@@ -147,7 +174,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--elastic" => args.elastic = true,
             "--no-elastic" => args.elastic = false,
-            other => return Err(format!("unknown flag {other}")),
+            other => unreachable!("{other} is in a command's flag set but not parsed"),
         }
     }
     Ok(args)
@@ -285,7 +312,7 @@ impl WorkloadVisitor for RunCmd {
             // backpressure); shallow ingress edges bound what a
             // migration pause must drain. `--pace` still overrides.
             opts.pace_ns_per_tick = Some(self.pace_ns.unwrap_or(300));
-            opts.ingress_capacity = 128;
+            opts.ingress_capacity = NonZeroUsize::new(128).expect("nonzero");
             opts.elastic = Some(ElasticConfig {
                 interval: std::time::Duration::from_millis(1),
                 hot_ratio: 1.8,
@@ -411,7 +438,7 @@ impl WorkloadVisitor for SimCmd {
     fn visit<W: SweepWorkload>(&mut self) -> String {
         let w = W::for_scale(self.n, 500, 4);
         let job = w.job(50);
-        let report = job.run(Backend::Sim(job.auto_sim_config()));
+        let report = job.run(Backend::Sim);
         let stats = report.sim.expect("sim backend reports engine stats");
         format!(
             "simulated {} workers ({} partitions): {} outputs in {:.2} virtual ms, {} messages, {} net bytes",
@@ -426,7 +453,8 @@ impl WorkloadVisitor for SimCmd {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -518,10 +546,54 @@ fn main() {
                 None => unknown(),
             }
         }
-        other => {
-            eprintln!("unknown command {other:?}; expected plan | run | sim | list");
-            eprintln!("{}", usage());
-            std::process::exit(2);
+        other => unreachable!("parse_args accepted unknown command {other:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn each_command_accepts_its_own_flags() {
+        let a = parse("plan fraud -n 8 --dot").expect("plan flags");
+        assert_eq!((a.parallelism, a.dot), (8, true));
+        let a = parse(
+            "run value-barrier -n 2 --checkpoint-dir d --metrics --metrics-out m.prom \
+             --metrics-interval 50 --trace-out t.json --pace 5 --executor-threads 2 \
+             --elastic --no-elastic",
+        )
+        .expect("run flags");
+        assert_eq!(a.checkpoint_dir.as_deref(), Some("d"));
+        assert!(a.metrics && !a.elastic);
+        assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
+        assert_eq!((a.metrics_interval_ms, a.pace_ns), (Some(50), Some(5)));
+        assert_eq!(a.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(a.executor_threads, Some(2));
+        assert_eq!(parse("sim page-view --parallelism 3").expect("sim flags").parallelism, 3);
+        assert_eq!(parse("metrics-lint m.prom").expect("lint").workload, "m.prom");
+        assert_eq!(parse("list").expect("list").cmd, "list");
+    }
+
+    #[test]
+    fn flags_a_command_does_not_take_are_refused() {
+        for (line, why) in [
+            ("sim value-barrier --elastic", "`sim` does not take \"--elastic\""),
+            ("sim value-barrier --checkpoint-dir d", "`sim` does not take \"--checkpoint-dir\""),
+            ("plan value-barrier --metrics-out x", "`plan` does not take \"--metrics-out\""),
+            ("plan value-barrier --executor-threads 2", "`plan` does not take \"--executor-threads\""),
+            ("metrics-lint m.prom --dot", "`metrics-lint` does not take \"--dot\""),
+            ("list extra", "`list` does not take \"extra\""),
+            ("run value-barrier --bogus", "`run` does not take \"--bogus\""),
+            ("frobnicate value-barrier", "unknown command \"frobnicate\""),
+        ] {
+            let err = parse(line).err().unwrap_or_else(|| panic!("{line:?} was accepted"));
+            assert!(err.starts_with(why), "{line:?}: {err}");
         }
     }
 }

@@ -1,13 +1,13 @@
-//! The unified `flumina::api::Job` front door is *exactly* the manual
-//! path, not a lookalike: for every application workload, the plan a
-//! `Job` derives from the streams alone is structurally identical to
-//! the plan the app builds by hand (`ITagInfo`s + `CommMinOptimizer`),
-//! and Job-driven runs produce the same output multiset as the manual
-//! `run_threads` invocation — on both edge storages, on the simulator
-//! backend, and on the durable-checkpoint column (threads +
-//! `checkpoint_roots`, persisted with `RunReport::persist_checkpoints`
-//! and reopened through a fresh store) — all equal to the sequential
-//! specification.
+//! The unified `flumina::api::Job` front door derives *exactly* the
+//! hand-built plan, not a lookalike: for every application workload, the
+//! plan a `Job` derives from the streams alone is structurally identical
+//! to the plan the app builds by hand (`ITagInfo`s + `CommMinOptimizer`)
+//! — the plan the paper figures run. Job-driven runs produce the
+//! sequential specification's output multiset on both edge storages
+//! (1/2/4 shards), on the simulator backend, and on the
+//! durable-checkpoint column (threads + `checkpoint_roots`, persisted
+//! with `RunReport::persist_checkpoints` and reopened through a fresh
+//! store).
 //!
 //! Plus a proptest pinning the rate derivation itself: the per-tag
 //! rates a `Job` computes from periodic schedules are proportional to
@@ -15,8 +15,6 @@
 //! and locations default to the stream id with overrides winning.
 
 mod common;
-
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -35,19 +33,10 @@ use flumina::core::program::DgsProgram;
 use flumina::core::tag::ITag;
 use flumina::plan::plan::Location;
 use flumina::runtime::source::ScheduledStream;
-use flumina::runtime::thread_driver::run_threads;
 
-/// Sorted-`Debug` multiset of a thread-driver result's outputs (the
-/// same canonical form `RunReport::output_multiset` uses).
-fn multiset<O: std::fmt::Debug, T>(outputs: &[(O, T)]) -> Vec<String> {
-    let mut v: Vec<String> = outputs.iter().map(|(o, _)| format!("{o:?}")).collect();
-    v.sort_unstable();
-    v
-}
-
-/// The acceptance property, per workload: identical plans, and
-/// Job-path == manual-path == spec output multisets across both edge
-/// storages plus the simulator backend.
+/// The acceptance property, per workload: identical plans, and Job ==
+/// spec output multisets across both edge storages plus the simulator
+/// backend.
 fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u64) {
     let w = W::for_scale(workers, per_window, windows);
     let hb = (per_window / 10).max(1);
@@ -68,23 +57,14 @@ fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u
     //    deques on one shard, rings above.
     let spec = job.run(Backend::Spec).output_multiset();
     for threads in [1usize, 2, 4] {
-        let options = || ThreadRunOptions {
-            executor_threads: Some(threads),
-            record_timing: true,
-            ..Default::default()
-        };
         // A plan narrower than `threads` clamps the shard count.
         let storage =
             if threads.min(manual_plan.len()) == 1 { "per-edge" } else { "per-edge-ring" };
-        let manual = run_threads(Arc::new(w.program()), &manual_plan, w.streams(hb), options());
-        assert_eq!(manual.timing.expect("timing requested").channel_mode, storage);
-        assert_eq!(
-            multiset(&manual.outputs),
-            spec,
-            "{} [{storage}, {threads} shard(s)]: manual run_threads path diverged from spec",
-            W::NAME
-        );
-        let report = job.run(Backend::Threads(options()));
+        let report = job.run(Backend::Threads(ThreadRunOptions {
+            executor_threads: Some(threads),
+            record_timing: true,
+            ..Default::default()
+        }));
         assert_eq!(report.timing.as_ref().expect("timing requested").channel_mode, storage);
         assert_eq!(
             report.output_multiset(),
@@ -96,7 +76,7 @@ fn check_equivalence<W: SweepWorkload>(workers: u32, per_window: u64, windows: u
 
     // 3. The simulator backend replays the same streams to the same
     //    multiset.
-    let sim = job.run(Backend::Sim(job.auto_sim_config()));
+    let sim = job.run(Backend::Sim);
     assert_eq!(sim.output_multiset(), spec, "{}: Job sim backend diverged", W::NAME);
 
     // 4. The durable column: the same job taking root-join checkpoints
@@ -201,7 +181,7 @@ fn quickstart_workload_derives_the_per_key_forest() {
     assert!(plan.worker(k2).is_leaf() && plan.roots().contains(&k2));
     // And it runs: threads == sim == spec.
     let verified = job.verify_against_spec().expect("Theorem 3.5");
-    let sim = job.run(Backend::Sim(job.auto_sim_config()));
+    let sim = job.run(Backend::Sim);
     assert_eq!(sim.output_multiset(), verified.spec.output_multiset());
 }
 

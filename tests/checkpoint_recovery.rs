@@ -19,7 +19,9 @@ use std::sync::Arc;
 
 use common::scratch_dir as scratch;
 
-use flumina::api::{run_durable_with_recovery, Backend, CheckpointStore as _, Fault, FaultPlan};
+use flumina::api::{
+    run_durable_with_recovery, Backend, CheckpointStore as _, Fault, FaultPlan, Job,
+};
 use flumina::apps::fraud::FdWorkload;
 use flumina::apps::page_view::PvTag;
 use flumina::apps::sweep::{PvForestWorkload, SweepWorkload};
@@ -28,7 +30,6 @@ use flumina::core::event::StreamId;
 use flumina::core::spec::{run_sequential, sort_o};
 use flumina::runtime::checkpoint::{suffix_after, MemoryStore};
 use flumina::runtime::source::item_lists;
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 
 #[test]
 fn recovery_from_any_checkpoint_reproduces_the_spec() {
@@ -42,12 +43,10 @@ fn recovery_from_any_checkpoint_reproduces_the_spec() {
 
     // Run once with checkpointing enabled; every barrier (root join)
     // snapshots the joined state.
-    let full = run_threads(
-        Arc::new(ValueBarrier),
-        &w.plan(),
-        streams.clone(),
-        ThreadRunOptions { initial_state: None, checkpoint_root: true, ..Default::default() },
-    );
+    let full = Job::new(ValueBarrier, streams.clone())
+        .with_plan(w.plan())
+        .checkpoint_roots(true)
+        .run(Backend::threads());
     let mut store = MemoryStore::new();
     store.extend(full.checkpoints.clone()).expect("the memory store never fails");
     assert_eq!(store.len() as u64, w.barriers);
@@ -58,12 +57,10 @@ fn recovery_from_any_checkpoint_reproduces_the_spec() {
     // the snapshot on the input suffix and splice the outputs.
     for (k, (_, snapshot, cut_ts)) in full.checkpoints.iter().enumerate() {
         let suffix = suffix_after(&streams, *cut_ts, barrier_stream);
-        let resumed = run_threads(
-            Arc::new(ValueBarrier),
-            &w.plan(),
-            suffix,
-            ThreadRunOptions { initial_state: Some(*snapshot), checkpoint_root: false, ..Default::default() },
-        );
+        let resumed = Job::new(ValueBarrier, suffix)
+            .with_plan(w.plan())
+            .with_initial_state(*snapshot)
+            .run(Backend::threads());
         // Outputs before the cut (from the original run) + resumed ones.
         let mut combined: Vec<(i64, u64)> = full
             .outputs
@@ -85,12 +82,10 @@ fn snapshot_state_is_consistent_cut() {
     let w = VbWorkload { value_streams: 2, values_per_barrier: 25, barriers: 4 };
     let streams = w.scheduled_streams(5);
     let merged = sort_o(&item_lists(&streams));
-    let full = run_threads(
-        Arc::new(ValueBarrier),
-        &w.plan(),
-        streams,
-        ThreadRunOptions { initial_state: None, checkpoint_root: true, ..Default::default() },
-    );
+    let full = Job::new(ValueBarrier, streams)
+        .with_plan(w.plan())
+        .checkpoint_roots(true)
+        .run(Backend::threads());
     for (_, snapshot, cut_ts) in &full.checkpoints {
         let prefix: Vec<_> = merged
             .iter()

@@ -4,13 +4,11 @@
 //! boundaries, so exact per-window equality is not required — totals
 //! are).
 
-use std::sync::Arc;
-
+use flumina::api::{Backend, Job};
 use flumina::apps::fraud::baselines::{build_fraud_flink_manual, FdBaselineParams};
 use flumina::apps::value_barrier::baselines::{build_value_barrier, VbBaselineParams};
 use flumina::apps::value_barrier::{ValueBarrier, VbWorkload};
 use flumina::runtime::source::item_lists;
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 use flumina::core::spec::{run_sequential, sort_o};
 
 #[test]
@@ -24,7 +22,7 @@ fn vb_baseline_and_dgs_conserve_total_mass() {
         let merged = sort_o(&item_lists(&streams));
         run_sequential(&ValueBarrier, &merged).1.iter().sum()
     };
-    let dgs = run_threads(Arc::new(ValueBarrier), &w.plan(), streams, ThreadRunOptions::default());
+    let dgs = Job::new(ValueBarrier, streams).with_plan(w.plan()).run(Backend::threads());
     let dgs_total: i64 = dgs.outputs.iter().map(|(o, _)| *o).sum();
     assert_eq!(dgs_total, spec_total);
 

@@ -176,11 +176,10 @@ fn thousand_root_forest_runs_on_a_bounded_thread_budget() {
 fn quiescence_and_checkpoint_purity_survive_worker_migration() {
     let _guard = serial();
     let w = PvForestWorkload::for_scale(8, 30, 3);
-    let job = w.job(5);
+    let job = w.job(5).checkpoint_roots(true);
     let verified = job
         .verify_on(Backend::Threads(ThreadRunOptions {
             executor_threads: Some(2),
-            checkpoint_root: true,
             ..Default::default()
         }))
         .expect("sharded run with root checkpoints matches the spec");
@@ -188,7 +187,7 @@ fn quiescence_and_checkpoint_purity_survive_worker_migration() {
     let roots = plan.roots();
     assert!(
         !verified.run.checkpoints.is_empty(),
-        "root joins must checkpoint under checkpoint_root"
+        "root joins must checkpoint under checkpoint_roots"
     );
     let mut last_ts = std::collections::BTreeMap::new();
     for (root, _, ts) in &verified.run.checkpoints {

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use flumina::api::{Backend, Job, ThreadRunOptions};
 use flumina::apps::page_view::{PageViewJoin, PvTag, PvWorkload};
 use flumina::core::event::{Event, StreamId, StreamItem};
 use flumina::core::examples::{KcTag, KeyCounter};
@@ -26,7 +27,6 @@ use flumina::plan::plan::{Location, Plan, PlanBuilder};
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::sim_driver::{build_sim, SimConfig};
 use flumina::runtime::source::{item_lists, PacedSource};
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 use flumina::sim::{LinkSpec, Topology};
 
 fn pv_workload() -> PvWorkload {
@@ -94,12 +94,10 @@ fn former_coordinator_performs_zero_joins_and_forest_drops_it() {
     check_valid_for_program(&welded, &PageViewJoin, &universe).unwrap();
     let weld_id = welded.root();
     assert!(welded.worker(weld_id).itags.is_empty(), "the coordinator is tagless");
-    let result = run_threads(
-        Arc::new(PageViewJoin),
-        &welded,
-        w.scheduled_streams(6),
-        ThreadRunOptions { checkpoint_root: true, ..Default::default() },
-    );
+    let result = Job::new(PageViewJoin, w.scheduled_streams(6))
+        .with_plan(welded.clone())
+        .checkpoint_roots(true)
+        .run(Backend::threads());
     let mut got: Vec<_> = result.outputs.iter().map(|(o, _)| *o).collect();
     got.sort();
     assert_eq!(got, spec, "welded plan still satisfies Theorem 3.5");
@@ -117,12 +115,10 @@ fn former_coordinator_performs_zero_joins_and_forest_drops_it() {
     check_valid_for_program(&forest, &PageViewJoin, &universe).unwrap();
     assert_eq!(forest.roots().len(), 2, "one root per dependence component");
     assert!(forest.iter().all(|(_, wk)| !wk.itags.is_empty()), "no tagless worker at all");
-    let result = run_threads(
-        Arc::new(PageViewJoin),
-        &forest,
-        w.scheduled_streams(6),
-        ThreadRunOptions { checkpoint_root: true, ..Default::default() },
-    );
+    let result = Job::new(PageViewJoin, w.scheduled_streams(6))
+        .with_plan(forest.clone())
+        .checkpoint_roots(true)
+        .run(Backend::threads());
     let mut got: Vec<_> = result.outputs.iter().map(|(o, _)| *o).collect();
     got.sort();
     assert_eq!(got, spec, "forest plan satisfies Theorem 3.5");
@@ -151,16 +147,13 @@ fn forest_matches_spec_on_threads_all_channel_modes() {
         s
     };
     for threads in [1usize, 2, 4] {
-        let result = run_threads(
-            Arc::new(PageViewJoin),
-            &forest,
-            w.scheduled_streams(6),
-            ThreadRunOptions {
+        let result = Job::new(PageViewJoin, w.scheduled_streams(6))
+            .with_plan(forest.clone())
+            .run(Backend::Threads(ThreadRunOptions {
                 executor_threads: Some(threads),
                 record_timing: true,
                 ..Default::default()
-            },
-        );
+            }));
         let mode = result.timing.as_ref().expect("timing requested").channel_mode;
         assert_eq!(mode, if threads == 1 { "per-edge" } else { "per-edge-ring" });
         let mut got: Vec<_> = result.outputs.iter().map(|(o, _)| *o).collect();

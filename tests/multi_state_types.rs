@@ -4,8 +4,7 @@
 //! (`OnlyA` on one side, `OnlyB` on the other), and still reproduces the
 //! sequential specification.
 
-use std::sync::Arc;
-
+use flumina::api::{Backend, Job};
 use flumina::core::event::{StreamId, Timestamp};
 use flumina::core::examples_multi::{PairSplit, PsState, PsTag};
 use flumina::core::spec::{run_sequential, sort_o};
@@ -13,7 +12,6 @@ use flumina::core::tag::ITag;
 use flumina::plan::plan::{Location, PlanBuilder};
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::source::{item_lists, ScheduledStream};
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 
 #[test]
 fn pair_split_runs_with_heterogeneous_leaf_states() {
@@ -43,7 +41,7 @@ fn pair_split_runs_with_heterogeneous_leaf_states() {
             .closed(Timestamp::MAX),
     ];
     let expect = run_sequential(&PairSplit, &sort_o(&item_lists(&streams))).1;
-    let result = run_threads(Arc::new(PairSplit), &plan, streams, ThreadRunOptions::default());
+    let result = Job::new(PairSplit, streams).with_plan(plan).run(Backend::threads());
     let mut with_ts = result.outputs.clone();
     with_ts.sort_by_key(|(_, ts)| *ts);
     let got: Vec<i64> = with_ts.iter().map(|(o, _)| *o).collect();
@@ -72,12 +70,10 @@ fn pair_split_checkpoint_state_is_the_reassembled_pair() {
             .with_heartbeats(5)
             .closed(Timestamp::MAX),
     ];
-    let result = run_threads(
-        Arc::new(PairSplit),
-        &plan,
-        streams,
-        ThreadRunOptions { initial_state: None, checkpoint_root: true, ..Default::default() },
-    );
+    let result = Job::new(PairSplit, streams)
+        .with_plan(plan)
+        .checkpoint_roots(true)
+        .run(Backend::threads());
     assert_eq!(result.checkpoints.len(), 1);
     // The snapshot is the joined pair: 20 A's of 1 and 20 B's of 2.
     assert_eq!(result.checkpoints[0].1, PsState::Both { a: 20, b: 40 });

@@ -14,9 +14,8 @@
 mod common;
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use flumina::api::{Backend, CheckpointStore as _};
+use flumina::api::{Backend, CheckpointStore as _, Job, ThreadRunOptions};
 use flumina::apps::page_view::{PageViewJoin, PvTag};
 use flumina::apps::sweep::{PvForestWorkload, SweepWorkload};
 use flumina::apps::value_barrier::{ValueBarrier, VbWorkload};
@@ -27,7 +26,6 @@ use flumina::core::DgsProgram;
 use flumina::plan::plan::{sequential_plan, Location};
 use flumina::runtime::checkpoint::{suffix_after, MemoryStore};
 use flumina::runtime::source::item_lists;
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 
 /// The elastic chaos matrix: zipf-skewed, ON/OFF-bursty page-view runs
 /// across burst seeds and both replan directions, driven by the *live*
@@ -84,12 +82,10 @@ fn elastic_chaos_matrix_preserves_spec_and_purity() {
             ("join", &forked_plan, ReplanKind::Join),
             ("fork", &seq_forest, ReplanKind::Fork),
         ] {
-            let result = run_threads(
-                Arc::new(PageViewJoin),
-                plan,
-                streams.clone(),
-                ThreadRunOptions {
-                    checkpoint_root: true,
+            let result = Job::new(PageViewJoin, streams.clone())
+                .with_plan(plan.clone())
+                .checkpoint_roots(true)
+                .run(Backend::Threads(ThreadRunOptions {
                     pace_ns_per_tick: Some(50_000),
                     elastic: Some(ElasticConfig {
                         interval: Duration::from_millis(2),
@@ -101,8 +97,7 @@ fn elastic_chaos_matrix_preserves_spec_and_purity() {
                         ..Default::default()
                     }),
                     ..Default::default()
-                },
-            );
+                }));
             // Spec equivalence under live migration.
             let mut got: Vec<String> =
                 result.outputs.iter().map(|(o, _)| format!("{o:?}")).collect();
@@ -172,12 +167,10 @@ fn switching_plans_mid_stream_preserves_semantics() {
     );
 
     // Phase 1: optimizer's plan with checkpointing.
-    let phase1 = run_threads(
-        Arc::new(ValueBarrier),
-        &w.plan(),
-        streams.clone(),
-        ThreadRunOptions { initial_state: None, checkpoint_root: true, ..Default::default() },
-    );
+    let phase1 = Job::new(ValueBarrier, streams.clone())
+        .with_plan(w.plan())
+        .checkpoint_roots(true)
+        .run(Backend::threads());
     // Reconfigure at the third barrier.
     let (_, snapshot, cut_ts) = phase1.checkpoints[2];
 
@@ -187,12 +180,10 @@ fn switching_plans_mid_stream_preserves_semantics() {
         w.plan()];
     for (i, plan2) in plans.iter().enumerate() {
         let suffix = suffix_after(&streams, cut_ts, barrier_stream);
-        let phase2 = run_threads(
-            Arc::new(ValueBarrier),
-            plan2,
-            suffix,
-            ThreadRunOptions { initial_state: Some(snapshot), checkpoint_root: false, ..Default::default() },
-        );
+        let phase2 = Job::new(ValueBarrier, suffix)
+            .with_plan(plan2.clone())
+            .with_initial_state(snapshot)
+            .run(Backend::threads());
         let mut combined: Vec<(i64, u64)> = phase1
             .outputs
             .iter()
@@ -242,12 +233,10 @@ fn forest_replans_one_partition_without_touching_siblings() {
                 })
                 .cloned()
                 .collect();
-            let full = run_threads(
-                Arc::new(PageViewJoin),
-                &sub_plan,
-                part.clone(),
-                ThreadRunOptions { checkpoint_root: true, ..Default::default() },
-            );
+            let full = Job::new(PageViewJoin, part.clone())
+                .with_plan(sub_plan)
+                .checkpoint_roots(true)
+                .run(Backend::threads());
             if root != target {
                 // Sibling partitions never notice the reconfiguration.
                 store.extend(full.checkpoints.into_iter().map(|(_, s, t)| (root, s, t))).unwrap();
@@ -266,16 +255,11 @@ fn forest_replans_one_partition_without_touching_siblings() {
             } else {
                 sequential_plan(itags, Location(0))
             };
-            let resumed = run_threads(
-                Arc::new(PageViewJoin),
-                &plan2,
-                suffix_after(&part, cut_ts, sync),
-                ThreadRunOptions {
-                    initial_state: Some(snapshot),
-                    checkpoint_root: true,
-                    ..Default::default()
-                },
-            );
+            let resumed = Job::new(PageViewJoin, suffix_after(&part, cut_ts, sync))
+                .with_plan(plan2)
+                .with_initial_state(snapshot)
+                .checkpoint_roots(true)
+                .run(Backend::threads());
             store.extend(resumed.checkpoints.into_iter().map(|(_, s, t)| (root, s, t))).unwrap();
             outputs.extend(resumed.outputs);
         }

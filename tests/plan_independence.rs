@@ -9,6 +9,7 @@ mod common;
 
 use std::sync::Arc;
 
+use flumina::api::{Backend, Job};
 use flumina::apps::value_barrier::{ValueBarrier, VbWorkload};
 use flumina::core::depends::FnDependence;
 use flumina::core::spec::{run_sequential, sort_o};
@@ -17,7 +18,6 @@ use flumina::plan::plan::{sequential_plan, Location};
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::sim_driver::{build_sim, SimConfig};
 use flumina::runtime::source::item_lists;
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 use flumina::sim::{LinkSpec, Topology};
 
 #[test]
@@ -44,12 +44,8 @@ fn all_valid_plans_agree_with_the_spec() {
     }
     for (i, plan) in plans.iter().enumerate() {
         check_valid_for_program(plan, &ValueBarrier, &universe).unwrap();
-        let result = run_threads(
-            Arc::new(ValueBarrier),
-            plan,
-            streams.clone(),
-            ThreadRunOptions::default(),
-        );
+        let result =
+            Job::new(ValueBarrier, streams.clone()).with_plan(plan.clone()).run(Backend::threads());
         // Barrier outputs are totally ordered: sort by trigger timestamp.
         let mut with_ts = result.outputs.clone();
         with_ts.sort_by_key(|(_, ts)| *ts);
@@ -62,12 +58,8 @@ fn all_valid_plans_agree_with_the_spec() {
 fn sim_driver_agrees_with_thread_driver() {
     let w = VbWorkload { value_streams: 3, values_per_barrier: 100, barriers: 5 };
     // Thread driver outputs.
-    let threads = run_threads(
-        Arc::new(ValueBarrier),
-        &w.plan(),
-        w.scheduled_streams(20),
-        ThreadRunOptions::default(),
-    );
+    let threads =
+        Job::new(ValueBarrier, w.scheduled_streams(20)).with_plan(w.plan()).run(Backend::threads());
     let mut t_out = threads.outputs.clone();
     t_out.sort_by_key(|(_, ts)| *ts);
     let t_vals: Vec<i64> = t_out.iter().map(|(o, _)| *o).collect();

@@ -6,8 +6,7 @@
 
 mod common;
 
-use std::sync::Arc;
-
+use flumina::api::{Backend, Job};
 use flumina::core::depends::FnDependence;
 use flumina::core::event::{StreamId, Timestamp};
 use flumina::core::examples::{KcTag, KeyCounter};
@@ -16,7 +15,6 @@ use flumina::core::tag::ITag;
 use flumina::core::DgsProgram;
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::source::{item_lists, ScheduledStream};
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,8 +70,7 @@ fn random_plans_random_workloads_match_spec_on_threads() {
             let merged = sort_o(&item_lists(&streams));
             run_sequential(&KeyCounter, &merged).1
         };
-        let result =
-            run_threads(Arc::new(KeyCounter), &plan, streams, ThreadRunOptions::default());
+        let result = Job::new(KeyCounter, streams).with_plan(plan.clone()).run(Backend::threads());
         let mut got: Vec<(u32, i64)> = result.outputs.iter().map(|(o, _)| *o).collect();
         let mut want = expect;
         got.sort();
@@ -119,12 +116,8 @@ fn deep_plans_behave_like_flat_ones() {
     };
     for seed in 0..8u64 {
         let plan = common::random_valid_plan(&itags, &dep, seed + 100);
-        let result = run_threads(
-            Arc::new(KeyCounter),
-            &plan,
-            streams.clone(),
-            ThreadRunOptions::default(),
-        );
+        let result =
+            Job::new(KeyCounter, streams.clone()).with_plan(plan.clone()).run(Backend::threads());
         let mut got: Vec<(u32, i64)> = result.outputs.iter().map(|(o, _)| *o).collect();
         let mut want = expect.clone();
         got.sort();

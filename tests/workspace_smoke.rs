@@ -3,12 +3,13 @@
 //! One DGS program (the paper's running key-counter example) goes through
 //! the whole pipeline using only facade paths: build the workload, let the
 //! Appendix-B optimizer pick a synchronization plan, verify the plan is
-//! P-valid, execute it on the real-thread driver, and check the output
-//! multiset against the sequential specification (Definition 3.4).
+//! P-valid, run it on real threads through `Job::with_plan`, and check
+//! the output multiset against the sequential specification
+//! (Definition 3.4).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
+use flumina::api::{Backend, Job};
 use flumina::core::event::{StreamId, Timestamp};
 use flumina::core::examples::{KcTag, KeyCounter};
 use flumina::core::spec::{run_sequential, sort_o};
@@ -17,7 +18,6 @@ use flumina::plan::optimizer::{CommMinOptimizer, ITagInfo, Optimizer};
 use flumina::plan::plan::Location;
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::source::{item_lists, ScheduledStream};
-use flumina::runtime::thread_driver::{run_threads, ThreadRunOptions};
 
 #[test]
 fn facade_pipeline_program_plan_threads_spec() {
@@ -67,7 +67,7 @@ fn facade_pipeline_program_plan_threads_spec() {
     assert!(!expect.is_empty(), "workload must produce outputs for the check to mean anything");
 
     // 5. Real-thread execution must reproduce the spec as a multiset.
-    let result = run_threads(Arc::new(program), &plan, streams, ThreadRunOptions::default());
+    let result = Job::new(program, streams).with_plan(plan).run(Backend::threads());
     let mut got: Vec<(u32, i64)> = result.outputs.iter().map(|(o, _)| *o).collect();
     let mut want = expect;
     got.sort();
