@@ -1,8 +1,9 @@
 //! Uniform workload parameterization for wall-clock rate sweeps.
 //!
-//! The `bench/` harness, the tests and the CLI drive the real-thread
-//! driver over the paper's evaluation applications at varying worker
-//! counts and input rates. Each application already
+//! The tests and the CLI drive the real-thread driver over the paper's
+//! evaluation applications at varying worker counts and input rates
+//! (the `bench/` harness has its own workload generators). Each
+//! application already
 //! knows how to build its plan and scheduled streams; this module gives
 //! them one shared shape — construct from `(workers, per_window,
 //! windows)`, expose program/plan/streams/event-count — so the harness
@@ -67,11 +68,6 @@ pub trait SweepWorkload: Sized {
     /// events-per-second throughput.
     fn event_count(&self) -> u64;
 
-    /// Last virtual timestamp carried by any event, i.e. the tick count a
-    /// paced run must play out (used to convert a rate into an expected
-    /// minimum duration).
-    fn last_tick(&self) -> Timestamp;
-
     /// A synchronizing stream — one whose events land at a partition
     /// root (barriers, rule updates, queries, the first page's updates
     /// in a forest, …). The recovery harness crashes the partition
@@ -117,10 +113,6 @@ impl SweepWorkload for VbWorkload {
         self.total_values() + self.barriers
     }
 
-    fn last_tick(&self) -> Timestamp {
-        self.values_per_barrier * self.barriers
-    }
-
     fn sync_stream(&self) -> StreamId {
         StreamId(self.value_streams)
     }
@@ -160,10 +152,6 @@ impl SweepWorkload for PvWorkload {
 
     fn event_count(&self) -> u64 {
         self.total_events()
-    }
-
-    fn last_tick(&self) -> Timestamp {
-        self.views_per_update * self.updates
     }
 
     fn sync_stream(&self) -> StreamId {
@@ -213,10 +201,6 @@ impl SweepWorkload for PvForestWorkload {
 
     fn event_count(&self) -> u64 {
         self.0.total_events()
-    }
-
-    fn last_tick(&self) -> Timestamp {
-        self.0.views_per_update * self.0.updates
     }
 
     fn sync_stream(&self) -> StreamId {
@@ -395,10 +379,6 @@ impl SweepWorkload for PvZipfWorkload {
         views + self.pages as u64 * self.windows
     }
 
-    fn last_tick(&self) -> Timestamp {
-        self.window_ticks() * self.windows
-    }
-
     fn sync_stream(&self) -> StreamId {
         // Page 0's update stream (the hottest page's synchronizer).
         StreamId(self.pages * 2)
@@ -437,10 +417,6 @@ impl SweepWorkload for FdWorkload {
         self.total_txns() + self.rules
     }
 
-    fn last_tick(&self) -> Timestamp {
-        self.txns_per_rule * self.rules
-    }
-
     fn sync_stream(&self) -> StreamId {
         StreamId(self.txn_streams)
     }
@@ -474,10 +450,6 @@ impl SweepWorkload for OdWorkload {
 
     fn event_count(&self) -> u64 {
         self.streams as u64 * self.obs_per_query * self.queries + self.queries
-    }
-
-    fn last_tick(&self) -> Timestamp {
-        self.obs_per_query * self.queries
     }
 
     fn sync_stream(&self) -> StreamId {
@@ -521,10 +493,6 @@ impl SweepWorkload for ShWorkload {
         self.total_events()
     }
 
-    fn last_tick(&self) -> Timestamp {
-        self.per_house_per_slice() * self.slices
-    }
-
     fn sync_stream(&self) -> StreamId {
         StreamId(self.houses)
     }
@@ -539,12 +507,6 @@ mod tests {
         let streams = w.streams(5);
         let events: u64 = streams.iter().map(|s| s.events().count() as u64).sum();
         assert_eq!(events, w.event_count(), "{}: event_count must match streams", W::NAME);
-        let max_ts = streams
-            .iter()
-            .flat_map(|s| s.events().map(|e| e.ts))
-            .max()
-            .unwrap_or(0);
-        assert_eq!(max_ts, w.last_tick(), "{}: last_tick must match streams", W::NAME);
         // Every stream must have a responsible worker in the plan.
         let plan = w.plan();
         for s in &streams {
@@ -566,7 +528,7 @@ mod tests {
     }
 
     /// The `job()` view of a workload runs and verifies end to end (the
-    /// path the `bench/` harness and CLI drive).
+    /// path the CLI drives).
     #[test]
     fn sweep_jobs_verify_against_the_spec() {
         fn verify<W: SweepWorkload>() {

@@ -68,7 +68,7 @@ impl Scale {
         Scale { per_window: 2_000, windows: 4, period_ns: 200 }
     }
 
-    /// Smaller scale for quick criterion benches.
+    /// Smaller scale for quick figure runs (`figures --quick`) and tests.
     pub fn quick() -> Self {
         Scale { per_window: 500, windows: 3, period_ns: 200 }
     }

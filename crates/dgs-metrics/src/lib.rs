@@ -216,9 +216,6 @@ pub struct StoreMetrics {
     /// Opens that fell back to a log scan because the manifest was
     /// missing or unreadable.
     pub manifest_fallbacks: Counter,
-    /// Bytes reclaimed by segment GC (superseded records rewritten away
-    /// after a full snapshot).
-    pub reclaimed_bytes: Counter,
 }
 
 impl StoreMetrics {
@@ -229,7 +226,6 @@ impl StoreMetrics {
             fsync: self.fsync.snapshot(),
             repaired_bytes: self.repaired_bytes.get(),
             manifest_fallbacks: self.manifest_fallbacks.get(),
-            reclaimed_bytes: self.reclaimed_bytes.get(),
         }
     }
 }
@@ -453,8 +449,6 @@ pub struct StoreSnapshot {
     pub repaired_bytes: u64,
     /// Manifest-fallback opens.
     pub manifest_fallbacks: u64,
-    /// Bytes reclaimed by segment GC.
-    pub reclaimed_bytes: u64,
 }
 
 /// Plain-data copy of one worker's trace ring.
@@ -637,8 +631,6 @@ impl MetricsSnapshot {
         e.sample("flumina_store_repaired_bytes_total", &[], self.store.repaired_bytes as f64);
         e.family("flumina_store_manifest_fallbacks_total", "Store opens that fell back to a full log scan.", MetricType::Counter);
         e.sample("flumina_store_manifest_fallbacks_total", &[], self.store.manifest_fallbacks as f64);
-        e.family("flumina_store_reclaimed_bytes_total", "Bytes reclaimed by segment GC after full snapshots.", MetricType::Counter);
-        e.sample("flumina_store_reclaimed_bytes_total", &[], self.store.reclaimed_bytes as f64);
 
         e.family("flumina_trace_events_total", "Protocol span events retained in trace rings, by kind.", MetricType::Counter);
         for kind in [

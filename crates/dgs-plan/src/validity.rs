@@ -205,6 +205,20 @@ pub fn check_valid_for_program<P: dgs_core::DgsProgram>(
     check_valid(plan, &dep, |_w, t| prog.can_handle(&init, &t.tag), universe)
 }
 
+/// Everything a driver needs of a plan before running it: P-validity
+/// against the program ([`check_valid_for_program`]), then protocol
+/// executability under the program's dependence relation
+/// ([`check_protocol_executable`]).
+pub fn check_plan_for_program<P: dgs_core::DgsProgram>(
+    plan: &Plan<P::Tag>,
+    prog: &P,
+    universe: &BTreeSet<ITag<P::Tag>>,
+) -> Result<(), ValidityError<P::Tag>> {
+    check_valid_for_program(plan, prog, universe)?;
+    let dep = dgs_core::depends::FnDependence::new(|a: &P::Tag, b: &P::Tag| prog.depends(a, b));
+    check_protocol_executable(plan, &dep)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,13 +10,9 @@
 //! a hint, while the segments themselves are the source of truth — a
 //! stale manifest is tolerated, a manifest *ahead* of its segment means
 //! data loss and is refused. Large per-key states stay cheap through
-//! **incremental snapshots**: every `full_every`-th record per root is a
-//! full encoding, the rest are deltas against the last full one
-//! ([`StateCodec::encode_delta`]). With [`DurableOptions::gc_segments`]
-//! on, each full snapshot also garbage-collects its segment — the
-//! records it supersedes are rewritten away (tmp + rename, manifest
-//! first) so disk stays bounded on long runs, with reclaimed bytes
-//! counted in the store metrics.
+//! **incremental snapshots**: every fourth record per root is a full
+//! encoding, the rest are deltas against the last full one
+//! ([`StateCodec::encode_delta`]).
 //!
 //! Crash realism comes from a deterministic fault-injection layer
 //! *below* the store trait: a [`FaultPlan`] crashes the writer of one
@@ -175,27 +171,9 @@ struct ScopedFaults {
 // Store.
 // ---------------------------------------------------------------------
 
-/// Tuning knobs for [`DurableStore`].
-#[derive(Clone, Copy, Debug)]
-pub struct DurableOptions {
-    /// Every `full_every`-th record per root is a full snapshot; the
-    /// records in between are deltas against the last full one.
-    pub full_every: u64,
-    /// Garbage-collect segments on every full snapshot: rewrite the
-    /// root's segment (write-tmp-then-rename, manifest updated first so
-    /// a crash at any point leaves a recoverable directory) to hold only
-    /// the new full record, discarding the records it supersedes. Bounds
-    /// disk growth on long runs at the cost of reopen history — a fresh
-    /// open sees only the surviving suffix per root, never the full
-    /// checkpoint timeline. Off by default.
-    pub gc_segments: bool,
-}
-
-impl Default for DurableOptions {
-    fn default() -> Self {
-        DurableOptions { full_every: 4, gc_segments: false }
-    }
-}
+/// Every `FULL_EVERY`-th record per root is a full snapshot; the records
+/// in between are deltas against the last full one.
+const FULL_EVERY: u64 = 4;
 
 /// What [`DurableStore::open`] found and did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -229,28 +207,19 @@ const KIND_DELTA: u8 = 1;
 #[derive(Debug)]
 pub struct DurableStore<S> {
     dir: PathBuf,
-    opts: DurableOptions,
     /// In-memory image of everything durable, serving all reads.
     mirror: MemoryStore<S>,
     parts: BTreeMap<WorkerId, Part<S>>,
     faults: Option<ScopedFaults>,
     crashed: bool,
     report: OpenReport,
-    /// Cumulative bytes reclaimed by segment GC (see
-    /// [`DurableOptions::gc_segments`]).
-    reclaimed: u64,
     /// Observability sink (see [`DurableStore::with_metrics`]).
     metrics: Option<Arc<StoreMetrics>>,
 }
 
 impl<S: StateCodec + Clone> DurableStore<S> {
-    /// Open (or create) the store rooted at `dir` with default options,
-    /// recovering every valid on-disk record.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Self::open_with(dir, DurableOptions::default())
-    }
-
-    /// [`DurableStore::open`] with explicit options.
+    /// Open (or create) the store rooted at `dir`, recovering every
+    /// valid on-disk record.
     ///
     /// Recovery protocol: read the manifest if its CRC holds (otherwise
     /// fall back to segments alone); scan each segment front-to-back,
@@ -259,7 +228,7 @@ impl<S: StateCodec + Clone> DurableStore<S> {
     /// tail); and refuse the directory if a valid manifest claims more
     /// bytes than a segment actually holds — that is data loss, not a
     /// stale hint.
-    pub fn open_with(dir: impl Into<PathBuf>, opts: DurableOptions) -> Result<Self, StoreError> {
+    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create_dir_all", e))?;
         let manifest = read_manifest(&dir)?;
@@ -327,13 +296,11 @@ impl<S: StateCodec + Clone> DurableStore<S> {
         }
         Ok(DurableStore {
             dir,
-            opts,
             mirror,
             parts,
             faults: None,
             crashed: false,
             report,
-            reclaimed: 0,
             metrics: None,
         })
     }
@@ -372,12 +339,6 @@ impl<S: StateCodec + Clone> DurableStore<S> {
     /// True once the injected crash point has fired.
     pub fn has_crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// Cumulative bytes segment GC has reclaimed through this store
-    /// object (always 0 unless [`DurableOptions::gc_segments`] is on).
-    pub fn reclaimed_bytes(&self) -> u64 {
-        self.reclaimed
     }
 
     fn segment_path(dir: &Path, root: WorkerId) -> PathBuf {
@@ -419,11 +380,11 @@ impl<S: StateCodec + Clone> DurableStore<S> {
         }
         let part = self.parts.get_mut(&root).expect("just inserted");
         // Frame: [len:u32][crc32(payload):u32][payload], payload being
-        // (root:u64, ts:u64, kind:u8, state bytes). Every full_every-th
+        // (root:u64, ts:u64, kind:u8, state bytes). Every FULL_EVERY-th
         // record per root is a full snapshot, the rest deltas against
         // the last full one.
         let kind = match &part.last_full {
-            Some(_) if !part.records.is_multiple_of(self.opts.full_every.max(1)) => KIND_DELTA,
+            Some(_) if !part.records.is_multiple_of(FULL_EVERY) => KIND_DELTA,
             _ => KIND_FULL,
         };
         let mut payload = Vec::new();
@@ -470,68 +431,11 @@ impl<S: StateCodec + Clone> DurableStore<S> {
             self.apply_fault()?;
             self.crashed = true;
         }
-        // A full snapshot supersedes everything before it in the same
-        // segment; with GC on, reclaim that prefix now (a dead writer,
-        // like a dead manifest rewriter, reclaims nothing).
-        if kind == KIND_FULL
-            && self.opts.gc_segments
-            && !self.crashed
-            && !self.manifest_suppressed()
-        {
-            self.gc_segment(root, &frame)?;
-        }
         // The manifest is maintained by the (single) writer process; a
         // dead writer rewrites nothing, and a StaleManifest plan stops
         // rewrites a seeded window early.
         if !self.crashed && !self.manifest_suppressed() {
             self.write_manifest()?;
-        }
-        Ok(())
-    }
-
-    /// Rewrite `root`'s segment to hold only `frame` — the full-snapshot
-    /// record just appended — discarding the records it supersedes.
-    ///
-    /// Crash-consistency: the replacement is written to a tmp file and
-    /// the manifest is rewritten with the *post-GC* sizes **before** the
-    /// rename. A crash at any point therefore leaves the manifest
-    /// claiming at most what the segment holds (the stale-manifest case
-    /// recovery already tolerates), never more (which open refuses as
-    /// data loss).
-    fn gc_segment(&mut self, root: WorkerId, frame: &[u8]) -> Result<(), StoreError> {
-        let (path, old_bytes) = {
-            let part = self.parts.get(&root).expect("appended root has a segment");
-            (part.path.clone(), part.bytes)
-        };
-        let new_bytes = frame.len() as u64;
-        if old_bytes <= new_bytes {
-            return Ok(()); // first record of the segment: nothing superseded
-        }
-        let tmp = path.with_extension("tmp"); // seg-NNNNNN.tmp: invisible to list_segments
-        let mut f = File::create(&tmp).map_err(|e| io_err(&tmp, "create gc tmp", e))?;
-        f.write_all(frame).map_err(|e| io_err(&tmp, "write gc tmp", e))?;
-        f.sync_data().map_err(|e| io_err(&tmp, "fsync gc tmp", e))?;
-        drop(f);
-        {
-            let part = self.parts.get_mut(&root).expect("appended root has a segment");
-            part.bytes = new_bytes;
-            part.records = 1;
-        }
-        self.write_manifest()?;
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, "rename gc segment", e))?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_data();
-        }
-        // The old append handle still points at the unlinked inode.
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, "reopen after gc", e))?;
-        self.parts.get_mut(&root).expect("appended root has a segment").file = file;
-        let reclaimed = old_bytes - new_bytes;
-        self.reclaimed += reclaimed;
-        if let Some(m) = &self.metrics {
-            m.reclaimed_bytes.add(reclaimed);
         }
         Ok(())
     }
@@ -1043,75 +947,6 @@ pub(crate) mod tests {
             DurableStore::<i64>::open(&dir),
             Err(StoreError::Corrupt(_))
         ));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// With `gc_segments` on, every full snapshot rewrites the segment
-    /// down to itself: disk stays bounded at one full record plus the
-    /// trailing delta chain, a fresh reopen recovers the surviving
-    /// suffix with the correct latest state, and reclaimed bytes are
-    /// counted on both the store and the metrics sink.
-    #[test]
-    fn segment_gc_bounds_disk_and_survives_reopen() {
-        let dir = scratch("gc");
-        let snaps = maps(11); // fulls at appends 1, 5, 9 with full_every = 4
-        let metrics = Arc::new(StoreMetrics::default());
-        let opts = DurableOptions { full_every: 4, gc_segments: true };
-        {
-            let mut store = DurableStore::<Map>::open_with(&dir, opts)
-                .unwrap()
-                .with_metrics(metrics.clone());
-            for (i, s) in snaps.iter().enumerate() {
-                store.record(R0, s.clone(), i as u64 + 1).unwrap();
-            }
-            // The in-process mirror still serves the full history…
-            assert_eq!(CheckpointStore::len(&store), 11);
-            assert!(store.reclaimed_bytes() > 0);
-            assert_eq!(metrics.reclaimed_bytes.get(), store.reclaimed_bytes());
-        }
-        // …but disk holds only the records since the last full snapshot:
-        // the append-9 full plus the two deltas behind it.
-        let store = DurableStore::<Map>::open_with(&dir, opts).unwrap();
-        assert_eq!(store.open_report().records, 3);
-        assert!(!store.open_report().manifest_fallback);
-        assert_eq!(store.open_report().repaired_bytes, 0);
-        let got: Vec<(Map, u64)> = store.of_root(R0).to_vec();
-        assert_eq!(
-            got,
-            vec![
-                (snaps[8].clone(), 9),
-                (snaps[9].clone(), 10),
-                (snaps[10].clone(), 11)
-            ]
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// GC on one root never touches another root's segment, and a
-    /// GC'd directory round-trips through further appends after reopen
-    /// (the delta cadence restarts cleanly from the surviving full).
-    #[test]
-    fn segment_gc_is_per_root_and_appendable_after_reopen() {
-        let dir = scratch("gc-roots");
-        let opts = DurableOptions { full_every: 2, gc_segments: true };
-        {
-            let mut store = DurableStore::<i64>::open_with(&dir, opts).unwrap();
-            for i in 1..=5i64 {
-                store.record(R0, i * 10, i as u64).unwrap();
-            }
-            store.record(R1, -1, 1).unwrap();
-        }
-        {
-            let mut store = DurableStore::<i64>::open_with(&dir, opts).unwrap();
-            // R1 never crossed a second full snapshot: nothing reclaimed.
-            assert_eq!(store.of_root(R1), &[(-1, 1)]);
-            store.record(R0, 60, 6).unwrap();
-            store.record(R0, 70, 7).unwrap(); // full again: reclaims
-            assert!(store.reclaimed_bytes() > 0);
-        }
-        let store = DurableStore::<i64>::open_with(&dir, opts).unwrap();
-        assert_eq!(store.latest(R0), Some(&(70, 7)));
-        assert_eq!(store.of_root(R1), &[(-1, 1)]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -21,11 +21,10 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use dgs_core::depends::FnDependence;
 use dgs_core::program::DgsProgram;
 use dgs_core::tag::ITag;
 use dgs_plan::plan::{sequential_plan, Location, Plan, PlanBuilder, WorkerId};
-use dgs_plan::validity::{check_protocol_executable, check_valid_for_program};
+use dgs_plan::validity::check_plan_for_program;
 
 /// Knobs for the elastic replan controller (`ThreadRunOptions::elastic`).
 #[derive(Clone, Debug)]
@@ -47,13 +46,6 @@ pub struct ElasticConfig {
     pub min_events: u64,
     /// Hard cap on replans per run.
     pub max_replans: usize,
-    /// Extra worker slots pre-allocated in the executor slab for
-    /// migrated sub-plans (fork needs up to two more slots per replan;
-    /// retired slots are reused first).
-    pub reserve_slots: usize,
-    /// How long to wait for a partition root to capture its full state
-    /// before abandoning a replan attempt.
-    pub hold_timeout: Duration,
 }
 
 impl Default for ElasticConfig {
@@ -65,8 +57,6 @@ impl Default for ElasticConfig {
             hold_ticks: 2,
             min_events: 32,
             max_replans: 16,
-            reserve_slots: 8,
-            hold_timeout: Duration::from_millis(250),
         }
     }
 }
@@ -280,7 +270,7 @@ pub fn fork_partition_plan<P: DgsProgram>(
     b.attach(root, l);
     b.attach(root, r);
     let plan = b.build(root);
-    validate_for(prog, &plan, itags).then_some(plan)
+    check_plan_for_program(&plan, prog, itags).is_ok().then_some(plan)
 }
 
 /// Collapse a partition to a single sequential worker owning every tag.
@@ -290,18 +280,6 @@ pub fn join_partition_plan<T: dgs_core::tag::Tag>(
     location: Location,
 ) -> Plan<T> {
     sequential_plan(itags, location)
-}
-
-fn validate_for<P: DgsProgram>(
-    prog: &P,
-    plan: &Plan<P::Tag>,
-    universe: &BTreeSet<ITag<P::Tag>>,
-) -> bool {
-    if check_valid_for_program(plan, prog, universe).is_err() {
-        return false;
-    }
-    let dep = FnDependence::new(|a: &P::Tag, b: &P::Tag| prog.depends(a, b));
-    check_protocol_executable(plan, &dep).is_ok()
 }
 
 #[cfg(test)]
@@ -428,6 +406,6 @@ mod tests {
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.all_itags(), tags);
         assert_eq!(plan.worker(plan.root()).location, Location(5));
-        assert!(validate_for(&KeyCounter, &plan, &tags));
+        assert!(check_plan_for_program(&plan, &KeyCounter, &tags).is_ok());
     }
 }

@@ -73,6 +73,7 @@ use dgs_core::tag::ITag;
 use dgs_metrics::{MetricsSnapshot, StoreMetrics};
 use dgs_plan::optimizer::{CommMinOptimizer, ITagInfo, Optimizer};
 use dgs_plan::plan::{Location, Plan, WorkerId};
+use dgs_plan::validity::check_plan_for_program;
 use dgs_sim::{LinkSpec, Topology};
 
 use crate::checkpoint::CheckpointStore;
@@ -324,8 +325,16 @@ impl<P: DgsProgram> Job<P> {
     }
 
     /// Run exactly this plan instead of deriving one (any P-valid plan
-    /// reproduces the specification, Theorem 3.5).
+    /// reproduces the specification, Theorem 3.5). Panics if the plan is
+    /// not P-valid for the program over the job's stream tags, or the
+    /// fork/join protocol cannot execute it
+    /// ([`check_plan_for_program`]): the theorem promises nothing for
+    /// such a plan, and it can return wrong outputs without failing.
     pub fn with_plan(mut self, plan: Plan<P::Tag>) -> Self {
+        let universe = self.streams.iter().map(|s| s.itag.clone()).collect();
+        if let Err(e) = check_plan_for_program(&plan, &*self.program, &universe) {
+            panic!("invalid plan for this job: {e:?}");
+        }
         self.fixed_plan = Some(plan);
         self.plan_cache = std::sync::OnceLock::new();
         self.infos_cache = std::sync::OnceLock::new();
@@ -413,8 +422,7 @@ impl<P: DgsProgram> Job<P> {
 
     /// The [`Backend::Sim`] deployment: a uniform topology covering
     /// every derived (or overridden) source location and every plan
-    /// worker location, with latency recording off (replayed events
-    /// carry schedule ticks, not virtual nanoseconds).
+    /// worker location.
     fn sim_config(&self) -> SimConfig {
         let info_max = self.derived_infos().iter().map(|i| i.location.0).max().unwrap_or(0);
         let plan_max = self
@@ -423,12 +431,7 @@ impl<P: DgsProgram> Job<P> {
             .map(|(_, w)| w.location.0)
             .max()
             .unwrap_or(0);
-        let mut cfg = SimConfig::new(Topology::uniform(
-            info_max.max(plan_max) + 1,
-            LinkSpec::default(),
-        ));
-        cfg.record_latency = false;
-        cfg
+        SimConfig::new(Topology::uniform(info_max.max(plan_max) + 1, LinkSpec::default()))
     }
 }
 

@@ -45,7 +45,7 @@ pub mod worker;
 
 pub use checkpoint::{CheckpointStore, MemoryStore};
 pub use cost::CostModel;
-pub use durable::{DurableOptions, DurableStore, Fault, FaultPlan, StoreError};
+pub use durable::{DurableStore, Fault, FaultPlan, StoreError};
 pub use elastic::{ElasticConfig, ReplanEvent, ReplanKind};
 pub use job::{Backend, Job, RunReport};
 pub use mailbox::Mailbox;

@@ -57,18 +57,17 @@ pub struct SimHandles<S, Out> {
     pub effects: Rc<RefCell<RunEffects>>,
 }
 
+/// Wire size of an event message in bytes.
+const EVENT_BYTES: u64 = 64;
+/// Wire size of a forked/joined state message in bytes.
+const STATE_BYTES: u64 = 256;
+
 /// Configuration of a simulated deployment.
 pub struct SimConfig {
     /// Cluster model.
     pub topology: Topology,
     /// CPU cost model.
     pub cost: CostModel,
-    /// Record output latency samples in the engine metrics.
-    pub record_latency: bool,
-    /// Wire size of an event message in bytes.
-    pub event_bytes: u64,
-    /// Wire size of a forked/joined state message in bytes.
-    pub state_bytes: u64,
     /// Store outputs in [`SimHandles::outputs`] (disable for huge runs).
     pub keep_outputs: bool,
     /// Seeded adversarial cross-edge delivery scheduler (see
@@ -86,9 +85,6 @@ impl SimConfig {
         SimConfig {
             topology,
             cost: CostModel::default(),
-            record_latency: true,
-            event_bytes: 64,
-            state_bytes: 256,
             keep_outputs: true,
             adversary: None,
         }
@@ -328,12 +324,14 @@ pub type BuiltSim<Prog> = (
 /// Shared wiring of both simulator builders: the engine over the
 /// topology, adversary + wire-size configuration, and one worker actor
 /// per plan worker (actor ids 0..plan.len() in worker-id order), the
-/// partition roots snapshotting at every join when `checkpoint_root`.
+/// partition roots snapshotting at every join when `checkpoint_root`,
+/// output latency samples recorded when `record_latency`.
 fn sim_skeleton<Prog: DgsProgram + 'static>(
     prog: &Arc<Prog>,
     plan: &Plan<Prog::Tag>,
     cfg: &SimConfig,
     checkpoint_root: bool,
+    record_latency: bool,
 ) -> BuiltSim<Prog> {
     let outputs = Rc::new(RefCell::new(Vec::new()));
     let checkpoints = Rc::new(RefCell::new(Vec::new()));
@@ -342,15 +340,13 @@ fn sim_skeleton<Prog: DgsProgram + 'static>(
     if let Some((seed, max_jitter_ns)) = cfg.adversary {
         engine.set_delivery_adversary(seed, max_jitter_ns);
     }
-    let event_bytes = cfg.event_bytes;
-    let state_bytes = cfg.state_bytes;
-    engine.set_size_fn(move |m| match m {
-        SimMsg::Worker(WorkerMsg::Event(_)) => event_bytes,
-        SimMsg::Worker(WorkerMsg::EventBatch(b)) => 16 + event_bytes * b.len() as u64,
+    engine.set_size_fn(|m| match m {
+        SimMsg::Worker(WorkerMsg::Event(_)) => EVENT_BYTES,
+        SimMsg::Worker(WorkerMsg::EventBatch(b)) => 16 + EVENT_BYTES * b.len() as u64,
         SimMsg::Worker(WorkerMsg::Heartbeat(_)) => 32,
         SimMsg::Worker(WorkerMsg::JoinRequest { .. }) => 48,
         SimMsg::Worker(WorkerMsg::StateUp { .. }) | SimMsg::Worker(WorkerMsg::StateDown { .. }) => {
-            state_bytes
+            STATE_BYTES
         }
         SimMsg::Tick | SimMsg::HbTick => 0,
     });
@@ -365,7 +361,7 @@ fn sim_skeleton<Prog: DgsProgram + 'static>(
         let actor = WorkerActor::<Prog> {
             core,
             cost: cfg.cost,
-            record_latency: cfg.record_latency,
+            record_latency,
             keep_outputs: cfg.keep_outputs,
             outputs: outputs.clone(),
             checkpoints: checkpoints.clone(),
@@ -402,7 +398,7 @@ pub fn build_sim<Prog: DgsProgram + 'static>(
     sources: Vec<PacedSource<Prog::Tag, Prog::Payload>>,
     cfg: SimConfig,
 ) -> BuiltSim<Prog> {
-    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg, false);
+    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg, false, true);
     for spec in sources {
         let Some(resp) = plan.responsible_for(&spec.itag) else {
             panic!("no worker responsible for source tag {:?}", spec.itag)
@@ -436,10 +432,9 @@ pub fn build_sim<Prog: DgsProgram + 'static>(
 /// This is what lets one workload description drive both execution
 /// backends — `Job::run` runs its `Sim` backend through here.
 ///
-/// Note on latency metrics: replayed events keep their schedule *tick*
-/// timestamps while the engine clock runs in virtual nanoseconds, so
-/// `SimConfig::record_latency` yields no meaningful samples here;
-/// correctness runs (the use) disable it.
+/// It records no output latency: replayed events keep their schedule
+/// *tick* timestamps while the engine clock runs in virtual nanoseconds,
+/// so the samples would mean nothing.
 pub(crate) fn build_sim_scheduled<Prog: DgsProgram + 'static>(
     prog: Arc<Prog>,
     plan: &Plan<Prog::Tag>,
@@ -448,7 +443,7 @@ pub(crate) fn build_sim_scheduled<Prog: DgsProgram + 'static>(
     checkpoint_root: bool,
     cfg: SimConfig,
 ) -> BuiltSim<Prog> {
-    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg, checkpoint_root);
+    let (mut engine, handles) = sim_skeleton(&prog, plan, &cfg, checkpoint_root, false);
     for src in sources {
         let Some(resp) = plan.responsible_for(&src.stream.itag) else {
             panic!("no worker responsible for source tag {:?}", src.stream.itag)
@@ -608,8 +603,7 @@ mod tests {
             })
             .collect();
         let topo = Topology::uniform(3, LinkSpec { latency: 5_000, bytes_per_ns: 1.0 });
-        let mut cfg = SimConfig::new(topo);
-        cfg.record_latency = false; // tick timestamps vs ns clock
+        let cfg = SimConfig::new(topo);
         let init = KeyCounter.init();
         let (mut engine, handles) =
             build_sim_scheduled(Arc::new(KeyCounter), &plan, sources, init, false, cfg);

@@ -1,9 +1,10 @@
 //! Source feeding: capped feeder threads multiplexing the input
-//! streams, paced against the wall clock or at full speed, and the
-//! control plane the elastic controller pauses and reroutes them with.
+//! streams in one non-blocking rotation — every item released no
+//! earlier than its scheduled time when the run is paced, at once
+//! otherwise — and the control plane the elastic controller pauses and
+//! reroutes them with.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use dgs_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -12,28 +13,27 @@ use dgs_sync::{Condvar, Mutex};
 use dgs_core::event::{StreamItem, Timestamp};
 use dgs_core::program::DgsProgram;
 
-use super::wiring::{send_credited, EdgeSender, Msg, ThreadMsg};
+use super::wiring::{EdgeSender, Msg, ThreadMsg};
 use super::RunShared;
 use crate::worker::WorkerMsg;
 
-/// Messages per unpaced feeder batch (paced feeders send item by item:
-/// each item has its own release time).
+/// Most messages a feeder sends to one stream's edge per rotation.
 const FEED_BATCH: usize = 64;
 /// How long a feeder parks when *every* stream it multiplexes is
-/// blocked on a full ingress edge; bounded so whichever edge drains
-/// first resumes the rotation.
+/// blocked on a full ingress edge (or paused); bounded so whichever
+/// edge drains first resumes the rotation.
 const INGRESS_PARK: Duration = Duration::from_micros(200);
-/// Longest single sleep while pacing a source: between chunks the feeder
-/// polls its control channel, so an elastic pause engages within ~1 ms
-/// even when the next release time is far off.
+/// Longest single wait for a paced item's release time: the feeder
+/// waits on its control condvar, so an elastic pause engages at once
+/// when signalled and within ~1 ms at worst, even when the next
+/// release time is far off.
 const PACE_CHUNK: Duration = Duration::from_millis(1);
 
 /// One input stream as owned by a (capped) feeder thread: its remaining
 /// items and its ingress edge. Feeder threads are capped at the shard
-/// count; each owns a fixed set of streams and interleaves them —
-/// round-robin batches unpaced, a release-time merge paced — so
-/// per-stream send order (the only order assumption 4 of Theorem 3.5
-/// needs) is preserved exactly.
+/// count; each owns a fixed set of streams and interleaves them in
+/// round-robin batches, so per-stream send order (the only order
+/// assumption 4 of Theorem 3.5 needs) is preserved exactly.
 pub(super) struct Feed<Prog: DgsProgram> {
     pub(super) si: usize,
     /// The plan partition this stream feeds — fixed for the whole run
@@ -91,24 +91,16 @@ impl<Prog: DgsProgram> FeederControl<Prog> {
         self.paused[si].load(Ordering::SeqCst)
     }
 
-    /// Whether the control epoch moved past what the feeder last acked
-    /// — the cheap probe pacing loops poll between sleep chunks.
-    fn epoch_moved(&self, last: u64) -> bool {
-        self.epoch.load(Ordering::SeqCst) != last
-    }
-
     /// Feeder-side control sync, called at loop tops: observe a new
-    /// epoch and ack it. Returns `true` when the epoch moved (pause
-    /// flags may have changed; the caller re-checks them per stream).
-    fn sync(&self, me: usize, last: &mut u64) -> bool {
+    /// epoch and ack it (pause flags may have changed; the caller
+    /// re-checks them per stream).
+    fn sync(&self, me: usize, last: &mut u64) {
         let e = self.epoch.load(Ordering::SeqCst);
-        if e == *last {
-            return false;
+        if e != *last {
+            *last = e;
+            self.acks[me].store(e, Ordering::SeqCst);
+            self.notify();
         }
-        *last = e;
-        self.acks[me].store(e, Ordering::SeqCst);
-        self.notify();
-        true
     }
 
     /// Mark feeder `me` exited (all its streams drained or surrendered).
@@ -191,50 +183,23 @@ impl<Prog: DgsProgram> FeederControl<Prog> {
         self.notify();
     }
 
-    /// Park a fully-paused feeder until the next control change.
+    /// Park a feeder with nothing to send until the next control change
+    /// (or `timeout`: the next release time, or a bounded re-check).
     fn wait_change(&self, timeout: Duration) {
         let guard = self.gate.lock().expect("feeder control poisoned");
         let _ = self.cv.wait_timeout(guard, timeout).expect("feeder control poisoned");
     }
 }
 
-/// Sleep until `start + ts * ns_per_tick` on the wall clock (immediately
-/// satisfied when the target is already past or the offset overflows).
-/// Sleeps in [`PACE_CHUNK`] chunks, polling `interrupt` between chunks;
-/// returns `false` the moment it reports `true`, leaving the caller to
-/// re-sync and retry — items are delayed, never skipped.
-fn pace_until(
-    start: Instant,
-    ts: Timestamp,
-    ns_per_tick: u64,
-    interrupt: impl Fn() -> bool,
-) -> bool {
-    let Some(offset_ns) = ns_per_tick.checked_mul(ts) else { return true };
-    let target = start + Duration::from_nanos(offset_ns);
-    loop {
-        let now = Instant::now();
-        if target <= now {
-            return true;
-        }
-        std::thread::sleep((target - now).min(PACE_CHUNK));
-        if interrupt() {
-            return false;
-        }
-    }
+/// Nanoseconds after the run's start at which an item stamped `ts` is
+/// released: `None` means at once — the run is unpaced, or the product
+/// overflows (notably the closing `u64::MAX` heartbeat).
+fn release_ns(pace: Option<u64>, ts: Timestamp) -> Option<u64> {
+    pace.and_then(|ns| ts.checked_mul(ns))
 }
 
-/// One feeder thread: drive the owned streams to exhaustion, paced
-/// against the wall clock when the run is paced, at full speed otherwise.
-pub(super) fn run_feeder<Prog: DgsProgram>(
-    fi: usize,
-    group: Vec<Feed<Prog>>,
-    run: &RunShared<Prog>,
-) {
-    match run.env.pace {
-        Some(ns) => feed_paced(fi, group, ns, run),
-        None => feed_unpaced(fi, group, run),
-    }
-    run.ctl.finish(fi);
+fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
 }
 
 /// Fold a send into a stream's metrics: fed-item count and arrival
@@ -249,91 +214,28 @@ fn note_sent<Prog: DgsProgram>(run: &RunShared<Prog>, f: &Feed<Prog>, sent: usiz
     }
 }
 
-/// Paced: merge the owned streams by release time (ties broken by
-/// slot, deterministically) so one thread paces many sources without
-/// reordering any single stream. The control protocol rides the loop
-/// top: epochs are acked only between sends, so an acknowledged pause
-/// guarantees no send is mid-flight; a paused stream parks off the heap
-/// and re-enters when released.
-fn feed_paced<Prog: DgsProgram>(
+/// One feeder thread: rotate *non-blocking* batches of due items across
+/// the owned streams until each is delivered or surrendered. An item is
+/// due once the wall clock passes its release time ([`release_ns`];
+/// unpaced, every item is due and the clock is never read). A bounded
+/// ingress edge that fills must not stall the feeder's other streams —
+/// with feeders capped at the shard count, a blocking send would
+/// serialize every stream in the group behind the slowest consumer
+/// (measured 20–40% of unpaced throughput) — so a full edge keeps its
+/// batch pending and the rotation moves on. A rotation that sends
+/// nothing parks: on a full edge while one holds unsent messages, else
+/// on the control condvar until the next release time, each wait
+/// bounded so a draining edge, a due item or a control change resumes
+/// it.
+pub(super) fn run_feeder<Prog: DgsProgram>(
     fi: usize,
-    mut group: Vec<Feed<Prog>>,
-    ns: u64,
+    group: Vec<Feed<Prog>>,
     run: &RunShared<Prog>,
 ) {
     let ctl = &run.ctl;
-    let mut last_epoch = 0u64;
-    let mut parked: Vec<bool> = vec![false; group.len()];
-    let mut pending: Vec<Option<StreamItem<_, _>>> = Vec::new();
-    let mut heap = BinaryHeap::new();
-    for (i, f) in group.iter_mut().enumerate() {
-        let nxt = f.items.next();
-        if let Some(item) = &nxt {
-            heap.push(Reverse((item.ts(), i)));
-        }
-        pending.push(nxt);
-    }
-    loop {
-        if ctl.sync(fi, &mut last_epoch) {
-            for (i, pk) in parked.iter_mut().enumerate() {
-                if *pk && !ctl.is_paused(group[i].si) {
-                    *pk = false;
-                    if let Some(item) = &pending[i] {
-                        heap.push(Reverse((item.ts(), i)));
-                    }
-                }
-            }
-        }
-        let Some(Reverse((ts, i))) = heap.pop() else {
-            if parked.iter().any(|&b| b) {
-                // Everything live is exhausted but a paused stream
-                // still holds items: wait for the release.
-                ctl.wait_change(INGRESS_PARK);
-                continue;
-            }
-            break;
-        };
-        if ctl.is_paused(group[i].si) {
-            parked[i] = true;
-            continue;
-        }
-        if !pace_until(run.env.start, ts, ns, || ctl.epoch_moved(last_epoch)) {
-            // A control epoch landed mid-sleep; put the item back and
-            // ack before sending.
-            heap.push(Reverse((ts, i)));
-            continue;
-        }
-        let f = &mut group[i];
-        ctl.take_reroute(f);
-        let item = pending[i].take().expect("heap entry has an item");
-        let lost =
-            send_credited(&run.in_flights[f.part], &f.route, std::iter::once(to_msg::<Prog>(item)));
-        note_sent(run, f, 1 - lost);
-        if lost > 0 {
-            // The worker is gone; this stream cannot be delivered.
-            // Surrender it quietly — the run's failure surfaces after
-            // teardown.
-            continue;
-        }
-        if let Some(nxt) = f.items.next() {
-            heap.push(Reverse((nxt.ts(), i)));
-            pending[i] = Some(nxt);
-        }
-    }
-}
-
-/// Unpaced: rotate *non-blocking* batches across the owned streams. A
-/// bounded ingress edge that fills must not stall the feeder's other
-/// streams — with feeders capped at the shard count, a blocking send
-/// would serialize every stream in the group behind the slowest
-/// consumer (measured 20–40% of unpaced throughput) — so a full edge
-/// keeps its batch pending, the rotation moves on, and the feeder parks
-/// only when every owned stream is blocked, with a bounded timeout so
-/// whichever edge drains first resumes it.
-fn feed_unpaced<Prog: DgsProgram>(fi: usize, group: Vec<Feed<Prog>>, run: &RunShared<Prog>) {
-    let ctl = &run.ctl;
-    let mut streams: Vec<(Feed<Prog>, VecDeque<Msg<Prog>>, bool)> =
-        group.into_iter().map(|f| (f, VecDeque::with_capacity(FEED_BATCH), false)).collect();
+    let (pace, start) = (run.env.pace, run.env.start);
+    let mut streams: Vec<(Feed<Prog>, VecDeque<Msg<Prog>>)> =
+        group.into_iter().map(|f| (f, VecDeque::with_capacity(FEED_BATCH))).collect();
     let mut last_epoch = 0u64;
     while !streams.is_empty() {
         // Ack control epochs only at the rotation top — never mid-send
@@ -342,25 +244,34 @@ fn feed_unpaced<Prog: DgsProgram>(fi: usize, group: Vec<Feed<Prog>>, run: &RunSh
         // (undelivered batches keep their credits off the counter until
         // retry).
         ctl.sync(fi, &mut last_epoch);
+        let now = if pace.is_some() { elapsed_ns(start) } else { 0 };
+        let mut next_due: Option<u64> = None;
         let mut progress = false;
         let mut i = 0;
         while i < streams.len() {
-            let (f, pending, done) = &mut streams[i];
+            let (f, pending) = &mut streams[i];
             if ctl.is_paused(f.si) {
                 i += 1;
                 continue;
             }
             ctl.take_reroute(f);
-            while pending.len() < FEED_BATCH && !*done {
-                match f.items.next() {
-                    Some(item) => pending.push_back(to_msg::<Prog>(item)),
-                    None => *done = true,
+            while pending.len() < FEED_BATCH {
+                let Some(ts) = f.items.as_slice().first().map(StreamItem::ts) else { break };
+                if let Some(at) = release_ns(pace, ts).filter(|&at| at > now) {
+                    next_due = Some(next_due.map_or(at, |d| d.min(at)));
+                    break;
                 }
+                pending.extend(f.items.next().map(to_msg::<Prog>));
             }
             if pending.is_empty() {
-                // Exhausted and fully delivered: retire the stream.
-                streams.remove(i);
-                progress = true;
+                if f.items.as_slice().is_empty() {
+                    // Exhausted and fully delivered: retire the stream.
+                    streams.remove(i);
+                    progress = true;
+                    continue;
+                }
+                // Its next item is not due yet.
+                i += 1;
                 continue;
             }
             let attempted = pending.len();
@@ -385,12 +296,19 @@ fn feed_unpaced<Prog: DgsProgram>(fi: usize, group: Vec<Feed<Prog>>, run: &RunSh
             i += 1;
         }
         if !progress {
-            match streams.iter().find(|(f, _, _)| !ctl.is_paused(f.si)) {
-                Some((f, _, _)) => f.route.wait_not_full(INGRESS_PARK),
-                // Every owned stream is paused: wait on the control
-                // condvar instead of an edge that will not move.
-                None => ctl.wait_change(INGRESS_PARK),
+            // Park at most `cap`, and never past the next release time.
+            let park_for = |cap: Duration| {
+                next_due.map_or(INGRESS_PARK, |at| {
+                    cap.min(Duration::from_nanos(at.saturating_sub(elapsed_ns(start))))
+                })
+            };
+            match streams.iter().find(|(f, pending)| !pending.is_empty() && !ctl.is_paused(f.si)) {
+                Some((f, _)) => f.route.wait_not_full(park_for(INGRESS_PARK)),
+                // Nothing to send until a release time or a control
+                // change: wait on the control condvar, not an edge.
+                None => ctl.wait_change(park_for(PACE_CHUNK)),
             }
         }
     }
+    ctl.finish(fi);
 }

@@ -28,6 +28,11 @@ use crate::elastic::{
 };
 use crate::worker::{WorkerCore, WorkerMsg};
 
+/// How long each step of a replan's hold (the root capturing its full
+/// state, the feeders pausing, the partition draining) may take before
+/// the attempt is abandoned.
+const HOLD_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// One-shot signal a partition root raises once an elastic-replan hold
 /// has engaged (its full state is captured in [`WorkerCore`]): the
 /// controller parks here instead of polling the slab.
@@ -368,15 +373,15 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
         };
         let engaged = immediate || {
             run.sched.wake(root_slot);
-            gate.wait_for(self.cfg.hold_timeout)
+            gate.wait_for(HOLD_TIMEOUT)
         };
         if !engaged {
             self.cancel_hold(root_slot);
             return false;
         }
         let streams = &self.parts[p].streams;
-        if !run.ctl.pause_and_wait(streams, self.cfg.hold_timeout)
-            || !run.in_flights[p].wait_zero_for(self.cfg.hold_timeout)
+        if !run.ctl.pause_and_wait(streams, HOLD_TIMEOUT)
+            || !run.in_flights[p].wait_zero_for(HOLD_TIMEOUT)
         {
             run.ctl.unpause(streams);
             self.cancel_hold(root_slot);

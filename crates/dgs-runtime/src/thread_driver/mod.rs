@@ -14,23 +14,25 @@
 //! a waker that re-enqueues the worker on its current shard, so idle
 //! shards genuinely block instead of spinning.
 //!
-//! Feeder threads are likewise capped at the shard count (streams are
-//! merged per feeder, preserving per-stream order — the only order the
-//! protocol needs), so total OS threads are O(executor_threads),
-//! independent of plan width. That is what lets a thousand-root forest
-//! plan run on a host that would collapse under a thread per worker.
+//! Feeder threads are likewise capped at the shard count (each rotates
+//! non-blocking batches across its streams, preserving per-stream order
+//! — the only order the protocol needs), so total OS threads are
+//! O(executor_threads), independent of plan width. That is what lets a
+//! thousand-root forest plan run on a host that would collapse under a
+//! thread per worker.
 //!
-//! Feeding happens at full speed by default, or paced against the wall
-//! clock when [`ThreadRunOptions::pace_ns_per_tick`] is set — so arrival
-//! interleavings across workers are genuinely nondeterministic; the
-//! output multiset must nevertheless equal the sequential specification,
-//! which is exactly what the integration tests assert.
+//! Every item is due at once by default, or at its scheduled wall-clock
+//! time when [`ThreadRunOptions::pace_ns_per_tick`] is set; both run
+//! through the same feeder loop. Arrival interleavings across workers
+//! are genuinely nondeterministic; the output multiset must nevertheless
+//! equal the sequential specification, which is exactly what the
+//! integration tests assert.
 //!
 //! The driver is cut along its seams: `wiring` (message type, edge
 //! storage, in-flight credits, the one wiring path), `task` (a worker
 //! as a poll-able task and what it leaves behind), `executor`
-//! (scheduler, placement, shard loop), `feeder` (paced and unpaced
-//! source loops and their control plane), `migrate` (the elastic replan
+//! (scheduler, placement, shard loop), `feeder` (the one source loop
+//! and its control plane), `migrate` (the elastic replan
 //! controller); `run_threads` below reads wire → seed → spawn → await
 //! quiescence → shut down → collect. It is reached only through
 //! [`Job::run`](crate::job::Job::run) with [`Backend::Threads`](crate::job::Backend::Threads).
@@ -43,9 +45,9 @@
 //! Delivery is lossless FIFO **per edge and nothing more** — exactly
 //! assumption 4 of Theorem 3.5, which is all the protocol needs (pinned
 //! by `tests/adversarial_delivery.rs`). Worker sends are batched per
-//! destination run (`send_many`), and ingress (feeder) edges are bounded
-//! with blocking backpressure, so a slow plan pushes back on its sources
-//! instead of buffering unboundedly. Worker↔worker edges stay unbounded:
+//! destination run (`send_many`), and ingress (feeder) edges are bounded,
+//! so a slow plan pushes back on its sources instead of buffering
+//! unboundedly. Worker↔worker edges stay unbounded:
 //! the fork/join protocol keeps at most one join in flight per worker,
 //! so those queues are structurally small, and blocking a worker's send
 //! could deadlock a cycle of full edges.
@@ -114,6 +116,11 @@ use feeder::{run_feeder, Feed, FeederControl};
 use migrate::{Controller, Stopper};
 use task::{drop_all_tasks, scheduled_latency_ns, Retired, TaskEnv, TaskSlab, WorkerTask};
 use wiring::{send_credited, wire_plan, EdgeStorage, InFlight, Routes, ThreadMsg, Wired};
+
+/// Worker slots pre-allocated in the executor slab for an elastic run's
+/// migrated sub-plans (every sub-plan takes fresh slots; retired slots
+/// are never reused).
+const RESERVE_SLOTS: usize = 8;
 
 /// Everything the threads of one run share, borrowed through the scope.
 struct RunShared<Prog: DgsProgram> {
@@ -199,7 +206,7 @@ where
     // Retired slots are never reused: every migrated sub-plan gets fresh
     // slots, so per-slot metrics, traces, and effect counters each
     // describe exactly one worker generation.
-    let slot_cap = n + elastic.as_ref().map_or(0, |c| c.reserve_slots);
+    let slot_cap = n + if elastic.is_some() { RESERVE_SLOTS } else { 0 };
     let part_of: Vec<usize> = (0..n).map(|i| plan.partition_index(WorkerId(i))).collect();
     let in_flights: Vec<Arc<InFlight>> =
         (0..plan.partition_count()).map(|_| Arc::new(InFlight::new())).collect();
@@ -527,8 +534,9 @@ pub struct ThreadRunOptions {
     /// the same count, so total OS threads for a run are
     /// O(executor_threads) regardless of plan width.
     pub executor_threads: Option<usize>,
-    /// Capacity of each feeder→worker ingress edge: a full edge blocks
-    /// the feeder (backpressure) instead of growing an unbounded queue.
+    /// Capacity of each feeder→worker ingress edge: a full edge holds
+    /// back its stream (backpressure) instead of growing an unbounded
+    /// queue, while the feeder's other streams keep flowing.
     pub ingress_capacity: NonZeroUsize,
     /// Collect live metrics into a [`RunMetrics`] registry (the default;
     /// the cost is thread-local tallies plus a few relaxed stores every
@@ -839,12 +847,24 @@ mod tests {
 
     /// A tiny ingress capacity forces feeders through the backpressure
     /// path; the run must still complete with the full output set, on
-    /// both storages.
+    /// both storages, unpaced and paced. The paced cells run at 2 ns per
+    /// tick: every finite timestamp of the workload (at most 400) is due
+    /// within a microsecond, so paced streams also pile into full edges,
+    /// while the closing `u64::MAX` heartbeat's release time still
+    /// overflows and is released at once (at 1 ns per tick it would not
+    /// overflow, and would wait ~584 years).
     #[test]
     fn per_edge_backpressure_preserves_outputs() {
         let plan = counter_plan();
         let want = spec_sorted(&workload());
-        for (capacity, threads) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+        for (capacity, threads, pace) in [
+            (1, 1, None),
+            (1, 2, None),
+            (2, 1, None),
+            (2, 2, None),
+            (1, 1, Some(2)),
+            (1, 2, Some(2)),
+        ] {
             let ingress_capacity = NonZeroUsize::new(capacity).expect("nonzero");
             let result = run_kc(
                 &plan,
@@ -853,10 +873,11 @@ mod tests {
                 ThreadRunOptions {
                     ingress_capacity,
                     executor_threads: Some(threads),
+                    pace_ns_per_tick: pace,
                     ..Default::default()
                 },
             );
-            let cell = format!("capacity {capacity}, {threads} shard(s)");
+            let cell = format!("capacity {capacity}, {threads} shard(s), pace {pace:?}");
             assert_eq!(sorted_outputs(&result), want, "{cell}");
             // Squeezing hundreds of items through such edges must have
             // blocked the feeders, and the registry must have seen it.
@@ -1063,9 +1084,9 @@ mod tests {
     /// Quiescence must be a condvar protocol, not sleep-polling. The
     /// quiescence implementation is the region of `wiring.rs` from
     /// `struct InFlight` up to the `end quiescence protocol` marker;
-    /// assert it blocks on a condvar and never calls `sleep` (the only
-    /// permitted `sleep` in the driver is wall-clock pacing of sources,
-    /// which lives in the feeder's `pace_until`).
+    /// assert it blocks on a condvar and never calls `sleep`. Nor does
+    /// any other part of the driver: feeders wait for release times on
+    /// their control condvar.
     #[test]
     fn no_sleep_polling_in_quiescence() {
         let region = include_str!("wiring.rs")
@@ -1077,17 +1098,16 @@ mod tests {
             .expect("region marker present");
         assert!(!region.contains("sleep"), "quiescence must not sleep-poll");
         assert!(region.contains("Condvar") || region.contains(".wait("), "quiescence must park on a condvar");
-        // And the pacing sleep is the driver's only sleep call site.
         let sleeps = |src: &str| src.split("#[cfg(test)]").next().unwrap().matches("thread::sleep").count();
-        assert_eq!(sleeps(include_str!("feeder.rs")), 1, "only pace_until may sleep");
-        for src in [
-            include_str!("mod.rs"),
-            include_str!("wiring.rs"),
-            include_str!("task.rs"),
-            include_str!("executor.rs"),
-            include_str!("migrate.rs"),
+        for (file, src) in [
+            ("mod.rs", include_str!("mod.rs")),
+            ("wiring.rs", include_str!("wiring.rs")),
+            ("task.rs", include_str!("task.rs")),
+            ("executor.rs", include_str!("executor.rs")),
+            ("feeder.rs", include_str!("feeder.rs")),
+            ("migrate.rs", include_str!("migrate.rs")),
         ] {
-            assert_eq!(sleeps(src), 0, "only pace_until may sleep");
+            assert_eq!(sleeps(src), 0, "{file}: the driver must not sleep");
         }
     }
 
@@ -1182,7 +1202,6 @@ mod tests {
                     hold_ticks: 1,
                     min_events: 16,
                     max_replans: 1,
-                    ..Default::default()
                 }),
                 ..Default::default()
             },
@@ -1266,7 +1285,6 @@ mod tests {
                     hold_ticks: 2,
                     min_events: 16,
                     max_replans: 1,
-                    ..Default::default()
                 }),
                 ..Default::default()
             },
@@ -1332,7 +1350,6 @@ mod tests {
                     hold_ticks: 1,
                     min_events: 16,
                     max_replans: 3,
-                    ..Default::default()
                 }),
                 ..Default::default()
             },

@@ -69,9 +69,7 @@
 pub use dgs_core::codec::{CodecError, StateCodec};
 pub use dgs_metrics::{MetricsSnapshot, RunMetrics, TraceKind, REQUIRED_FAMILIES};
 pub use dgs_runtime::checkpoint::{CheckpointStore, MemoryStore};
-pub use dgs_runtime::durable::{
-    DurableOptions, DurableStore, Fault, FaultPlan, OpenReport, StoreError,
-};
+pub use dgs_runtime::durable::{DurableStore, Fault, FaultPlan, OpenReport, StoreError};
 pub use dgs_runtime::elastic::{ElasticConfig, ReplanEvent, ReplanKind};
 pub use dgs_runtime::job::{Backend, Job, RunReport, SimStats, SpecMismatch, Verified};
 pub use dgs_runtime::recovery::{run_durable_with_recovery, DurableRecovery};

@@ -320,7 +320,6 @@ impl WorkloadVisitor for RunCmd {
                 hold_ticks: 1,
                 min_events: 32,
                 max_replans: 32,
-                ..Default::default()
             });
             opts.on_replan = Some(Box::new(|ev| {
                 eprintln!(

@@ -22,8 +22,7 @@ use common::scratch_dir as scratch;
 use proptest::prelude::*;
 
 use flumina::api::{
-    run_durable_with_recovery, Backend, CheckpointStore as _, DurableOptions, DurableStore,
-    Fault, FaultPlan,
+    run_durable_with_recovery, Backend, CheckpointStore as _, DurableStore, Fault, FaultPlan,
 };
 use flumina::apps::sweep::SweepWorkload;
 use flumina::apps::value_barrier::VbWorkload;
@@ -49,23 +48,21 @@ proptest! {
     /// Arbitrary state sequences, interleaved across two roots, survive
     /// a full write/reopen cycle byte-exactly — whatever the states,
     /// wherever the record boundaries fall, and however long the delta
-    /// chains grow (`full_every` varies the full-snapshot cadence, so
-    /// chains of 0..=4 deltas all occur).
+    /// chains grow (every fourth record per root is a full snapshot, and
+    /// a root gets up to 7 records, so chains of 0..=3 deltas all occur).
     #[test]
     fn segments_round_trip_arbitrary_states(
         states in prop::collection::vec(arb_state(), 1..14),
-        full_every in 1u64..6,
     ) {
         let dir = scratch("roundtrip");
-        let opts = DurableOptions { full_every, ..Default::default() };
         {
-            let mut store = DurableStore::<Map>::open_with(&dir, opts).unwrap();
+            let mut store = DurableStore::<Map>::open(&dir).unwrap();
             for (i, s) in states.iter().enumerate() {
                 let root = if i % 2 == 0 { R0 } else { R1 };
                 store.record(root, s.clone(), i as u64 + 1).unwrap();
             }
         }
-        let store = DurableStore::<Map>::open_with(&dir, opts).unwrap();
+        let store = DurableStore::<Map>::open(&dir).unwrap();
         prop_assert_eq!(store.open_report().records, states.len());
         prop_assert!(!store.open_report().manifest_fallback, "manifest must round-trip too");
         prop_assert_eq!(store.open_report().repaired_bytes, 0);

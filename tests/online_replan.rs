@@ -94,7 +94,6 @@ fn elastic_chaos_matrix_preserves_spec_and_purity() {
                         hold_ticks: 1,
                         min_events: 24,
                         max_replans: 8,
-                        ..Default::default()
                     }),
                     ..Default::default()
                 }));

@@ -14,7 +14,7 @@ use flumina::apps::value_barrier::{ValueBarrier, VbWorkload};
 use flumina::core::depends::FnDependence;
 use flumina::core::spec::{run_sequential, sort_o};
 use flumina::core::DgsProgram;
-use flumina::plan::plan::{sequential_plan, Location};
+use flumina::plan::plan::{sequential_plan, Location, PlanBuilder};
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::sim_driver::{build_sim, SimConfig};
 use flumina::runtime::source::item_lists;
@@ -52,6 +52,22 @@ fn all_valid_plans_agree_with_the_spec() {
         let got: Vec<i64> = with_ts.iter().map(|(o, _)| *o).collect();
         assert_eq!(got, expect, "plan #{i} ({} workers):\n{}", plan.len(), plan.render());
     }
+}
+
+/// The converse of the test above: a plan that is not P-valid is refused
+/// at the front door. Values and barriers under two unrelated roots
+/// violate V2 (barriers depend on every value); run anyway, such a
+/// forest completes with wrong window sums (`0` at every barrier, whose
+/// root never sees a value).
+#[test]
+#[should_panic(expected = "UnrelatedDependent")]
+fn with_plan_rejects_a_plan_that_is_not_p_valid() {
+    let w = VbWorkload { value_streams: 4, values_per_barrier: 60, barriers: 4 };
+    let (barrier, values) = w.itags().split_last().map(|(b, v)| (*b, v.to_vec())).unwrap();
+    let mut b = PlanBuilder::new();
+    b.add(values, Location(0));
+    b.add([barrier], Location(1));
+    let _ = Job::new(ValueBarrier, w.scheduled_streams(10)).with_plan(b.build_forest());
 }
 
 #[test]
