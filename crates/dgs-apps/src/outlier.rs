@@ -357,8 +357,7 @@ mod tests {
     use super::*;
     use dgs_core::consistency::{check_c1, check_c2};
     use dgs_core::spec::{run_sequential, sort_o};
-    use dgs_runtime::source::item_lists;
-
+    
     fn workload() -> OdWorkload {
         OdWorkload { streams: 4, obs_per_query: 200, queries: 3, outlier_every: 50 }
     }
@@ -367,7 +366,7 @@ mod tests {
     fn sequential_detects_planted_outliers() {
         let w = workload();
         let streams = w.scheduled_streams(20);
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         let (_, out) = run_sequential(&OutlierDetection, &merged);
         let mut got = out;
         got.sort_unstable();

@@ -430,8 +430,7 @@ mod tests {
     use super::*;
     use dgs_core::consistency::{check_c1, check_c2, check_c3};
     use dgs_core::spec::{run_sequential, sort_o};
-    use dgs_runtime::source::item_lists;
-
+    
     fn workload() -> ShWorkload {
         ShWorkload { houses: 4, households: 2, plugs: 2, per_plug_per_slice: 5, slices: 3 }
     }
@@ -440,7 +439,7 @@ mod tests {
     fn predictions_emitted_at_every_granularity() {
         let w = workload();
         let streams = w.scheduled_streams(10);
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         let (_, out) = run_sequential(&SmartHome, &merged);
         let plugs = out.iter().filter(|p| matches!(p.target, PredTarget::Plug(_))).count();
         let houses = out.iter().filter(|p| matches!(p.target, PredTarget::House(_))).count();
@@ -458,7 +457,7 @@ mod tests {
         // must blend current and historical means.
         let w = ShWorkload { houses: 1, households: 1, plugs: 1, per_plug_per_slice: 4, slices: 26 };
         let streams = w.scheduled_streams(50);
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         let (state, out) = run_sequential(&SmartHome, &merged);
         assert!(!state.history.is_empty());
         assert!(out.len() as u64 >= w.slices * 3);

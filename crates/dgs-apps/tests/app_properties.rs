@@ -14,7 +14,6 @@ use dgs_core::spec::{run_sequential, sort_o};
 use dgs_core::predicate::TagPredicate;
 use dgs_core::DgsProgram;
 use dgs_runtime::job::{Backend, Job};
-use dgs_runtime::source::item_lists;
 
 proptest! {
     // Thread-driver runs are comparatively expensive; keep case counts
@@ -30,7 +29,7 @@ proptest! {
     ) {
         let w = VbWorkload { value_streams: streams, values_per_barrier: vpb, barriers };
         let scheduled = w.scheduled_streams(hb);
-        let expect = run_sequential(&ValueBarrier, &sort_o(&item_lists(&scheduled))).1;
+        let expect = run_sequential(&ValueBarrier, &sort_o(&scheduled)).1;
         let result = Job::new(ValueBarrier, scheduled).with_plan(w.plan()).run(Backend::threads());
         let mut with_ts = result.outputs.clone();
         with_ts.sort_by_key(|(_, ts)| *ts);
@@ -47,7 +46,7 @@ proptest! {
     ) {
         let w = FdWorkload { txn_streams: streams, txns_per_rule: tpr, rules };
         let scheduled = w.scheduled_streams(hb);
-        let expect = run_sequential(&FraudDetection, &sort_o(&item_lists(&scheduled))).1;
+        let expect = run_sequential(&FraudDetection, &sort_o(&scheduled)).1;
         let result = Job::new(FraudDetection, scheduled).with_plan(w.plan()).run(Backend::threads());
         let mut got: Vec<FdOut> = result.outputs.iter().map(|(o, _)| *o).collect();
         let mut want = expect;
@@ -70,7 +69,7 @@ proptest! {
             updates,
         };
         let scheduled = w.scheduled_streams(7);
-        let expect = run_sequential(&PageViewJoin, &sort_o(&item_lists(&scheduled))).1;
+        let expect = run_sequential(&PageViewJoin, &sort_o(&scheduled)).1;
         let result = Job::new(PageViewJoin, scheduled).with_plan(w.plan()).run(Backend::threads());
         let mut got: Vec<_> = result.outputs.iter().map(|(o, _)| *o).collect();
         let mut want = expect;

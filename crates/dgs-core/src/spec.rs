@@ -5,9 +5,17 @@
 //! Correctness of any parallel implementation (Definition 3.4) is judged
 //! against `spec(sortO(u_1, …, u_k))`, where `sortO` merges the per-stream
 //! inputs into a single stream according to the total order `O` and drops
-//! heartbeats.
+//! heartbeats. [`merge_o`] is that merge over borrowed streams; it is the
+//! one definition of `O`'s sequence, and [`sort_o`] only collects it.
+//!
+//! Every function here takes the streams as `&[S]` for any
+//! `S: AsRef<[StreamItem]>`: a `Vec<StreamItem>` per stream, or anything
+//! that owns its items and lends them as a slice.
 
-use crate::event::{Event, StreamItem, Timestamp};
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
+use crate::event::{Event, StreamId, StreamItem, Timestamp};
 use crate::program::DgsProgram;
 use crate::tag::Tag;
 
@@ -27,16 +35,106 @@ pub fn run_sequential<P: DgsProgram>(
 
 /// Merge `k` per-stream inputs into one sequential stream according to the
 /// total order `O` (timestamp-major, stream-id-minor) and drop heartbeats
-/// — the paper's `sortO`.
-pub fn sort_o<T: Tag, P: Clone>(streams: &[Vec<StreamItem<T, P>>]) -> Vec<Event<T, P>> {
-    let mut events: Vec<Event<T, P>> = streams
-        .iter()
-        .flatten()
-        .filter_map(|item| item.as_event().cloned())
-        .collect();
-    events.sort_by_key(|e| e.order_key());
-    events
+/// — the paper's `sortO`, collected. [`merge_o`] yields the same sequence
+/// without copying it.
+pub fn sort_o<T, P, S>(streams: &[S]) -> Vec<Event<T, P>>
+where
+    T: Tag,
+    P: Clone,
+    S: AsRef<[StreamItem<T, P>]>,
+{
+    merge_o(streams).cloned().collect()
 }
+
+/// The events of `k` per-stream inputs in the total order `O`, heartbeats
+/// dropped, borrowed from the inputs: a k-way heap merge holding one head
+/// event per stream, so it allocates O(k) whatever the inputs' length.
+///
+/// Each input must be ordered by timestamp, as Definition 3.3 requires.
+/// Two events equal in `O` (two inputs under one stream id, at one
+/// timestamp) come out in input order, so the sequence is exactly a
+/// stable sort of the concatenated inputs by `O`.
+pub fn merge_o<T, P, S>(streams: &[S]) -> MergeO<'_, T, P>
+where
+    S: AsRef<[StreamItem<T, P>]>,
+{
+    let mut cursors: Vec<std::slice::Iter<'_, StreamItem<T, P>>> =
+        streams.iter().map(|s| s.as_ref().iter()).collect();
+    let heap = cursors
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(input, cursor)| Head::next_of(cursor, input))
+        .collect();
+    MergeO { cursors, heap }
+}
+
+/// The iterator [`merge_o`] returns.
+pub struct MergeO<'a, T, P> {
+    /// Per input, the items after its head.
+    cursors: Vec<std::slice::Iter<'a, StreamItem<T, P>>>,
+    /// Each non-exhausted input's next event, least in `O` on top.
+    heap: BinaryHeap<Head<'a, T, P>>,
+}
+
+impl<'a, T, P> Iterator for MergeO<'a, T, P> {
+    type Item = &'a Event<T, P>;
+
+    fn next(&mut self) -> Option<&'a Event<T, P>> {
+        let mut top = self.heap.peek_mut()?;
+        let (event, input) = (top.event, top.key.2);
+        // Replace the head in place (one sift) rather than pop and push.
+        match Head::next_of(&mut self.cursors[input], input) {
+            Some(next) => *top = next,
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some(event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rest: usize = self.cursors.iter().map(|c| c.len()).sum();
+        (self.heap.len(), Some(self.heap.len() + rest))
+    }
+}
+
+/// One input's next event and its position in the merge order:
+/// `(ts, stream)` is `O`, and the input's index breaks ties.
+struct Head<'a, T, P> {
+    key: (Timestamp, StreamId, usize),
+    event: &'a Event<T, P>,
+}
+
+impl<'a, T, P> Head<'a, T, P> {
+    /// The next event of `cursor` (input `input`), skipping heartbeats.
+    fn next_of(cursor: &mut std::slice::Iter<'a, StreamItem<T, P>>, input: usize) -> Option<Self> {
+        cursor
+            .find_map(StreamItem::as_event)
+            .map(|event| Head { key: (event.ts, event.stream, input), event })
+    }
+}
+
+// `BinaryHeap` is a max-heap: order heads in reverse so the least key is
+// on top.
+impl<T, P> Ord for Head<'_, T, P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+impl<T, P> PartialOrd for Head<'_, T, P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T, P> PartialEq for Head<'_, T, P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<T, P> Eq for Head<'_, T, P> {}
 
 /// Reasons an input instance fails Definition 3.3.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,34 +161,31 @@ pub enum InputInstanceError {
 /// Check Definition 3.3 on `streams`: (1) per-stream strict monotonicity
 /// in `O`; (2) progress — every *event* is eventually overtaken (in `O`)
 /// by an event or heartbeat on every other stream.
-pub fn check_valid_input<T: Tag, P>(
-    streams: &[Vec<StreamItem<T, P>>],
-) -> Result<(), InputInstanceError> {
+pub fn check_valid_input<T, P, S>(streams: &[S]) -> Result<(), InputInstanceError>
+where
+    T: Tag,
+    S: AsRef<[StreamItem<T, P>]>,
+{
     for (si, stream) in streams.iter().enumerate() {
-        for (pos, win) in stream.windows(2).enumerate() {
+        for (pos, win) in stream.as_ref().windows(2).enumerate() {
             if win[1].ts() <= win[0].ts() {
                 return Err(InputInstanceError::NotMonotonic { stream_index: si, position: pos + 1 });
             }
         }
     }
     // Progress: compare against every other stream's maximal item.
-    let max_ts: Vec<Option<Timestamp>> = streams.iter().map(|s| s.last().map(|i| i.ts())).collect();
+    let last: Vec<Option<&StreamItem<T, P>>> = streams.iter().map(|s| s.as_ref().last()).collect();
     for (si, stream) in streams.iter().enumerate() {
-        for item in stream {
+        for item in stream.as_ref() {
             let StreamItem::Event(e) = item else { continue };
-            for (sj, &max) in max_ts.iter().enumerate() {
+            for (sj, max) in last.iter().enumerate() {
                 if sj == si {
                     continue;
                 }
                 // y with x <_O y must exist on stream sj. Since O is
                 // (ts, stream)-lexicographic, the last item of sj works iff
                 // its key exceeds e's key.
-                let ok = match max {
-                    Some(mts) => {
-                        (mts, streams[sj].last().unwrap().stream()) > (e.ts, e.stream)
-                    }
-                    None => false,
-                };
+                let ok = max.is_some_and(|y| (y.ts(), y.stream()) > (e.ts, e.stream));
                 if !ok {
                     return Err(InputInstanceError::NoProgress {
                         stream_index: si,
@@ -130,12 +225,17 @@ pub fn close_streams<T: Tag, P>(
 
 /// The full sequential specification of Definition 3.4:
 /// `spec(sortO(u_1, …, u_k))`.
-pub fn spec_of_streams<P: DgsProgram>(
-    prog: &P,
-    streams: &[Vec<StreamItem<P::Tag, P::Payload>>],
-) -> Vec<P::Out> {
-    let merged = sort_o(streams);
-    run_sequential(prog, &merged).1
+pub fn spec_of_streams<P, S>(prog: &P, streams: &[S]) -> Vec<P::Out>
+where
+    P: DgsProgram,
+    S: AsRef<[StreamItem<P::Tag, P::Payload>]>,
+{
+    let mut state = prog.init();
+    let mut out = Vec::new();
+    for e in merge_o(streams) {
+        prog.update(&mut state, e, &mut out);
+    }
+    out
 }
 
 #[cfg(test)]

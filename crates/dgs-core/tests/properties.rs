@@ -5,7 +5,8 @@
 //!   domains);
 //! * Theorem 2.4: *random* well-formed wire diagrams produce the same
 //!   output multiset as the sequential specification;
-//! * algebraic laws of tag predicates and `sort_o`.
+//! * algebraic laws of tag predicates and `sort_o`;
+//! * `merge_o` yields exactly the stable sort the old `sort_o` made.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,12 +14,12 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 use dgs_core::consistency::{check_c1, check_c2, check_c3};
-use dgs_core::event::{Event, StreamId, StreamItem};
+use dgs_core::event::{Event, Heartbeat, StreamId, StreamItem};
 use dgs_core::examples::{KcTag, KeyCounter};
 use dgs_core::predicate::TagPredicate;
 use dgs_core::program::DgsProgram;
 use dgs_core::semantics::{eval_program, Segment, Wire};
-use dgs_core::spec::{run_sequential, sort_o};
+use dgs_core::spec::{merge_o, run_sequential, sort_o};
 
 const KEYS: u32 = 3;
 
@@ -209,7 +210,6 @@ fn random_wire(
 mod input_instance_props {
     use super::*;
     use dgs_core::spec::{check_valid_input, close_streams};
-    use dgs_core::event::Heartbeat;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -253,5 +253,105 @@ mod input_instance_props {
             ]];
             prop_assert!(check_valid_input(&streams).is_err());
         }
+    }
+}
+
+mod merge_o_props {
+    use super::*;
+
+    /// An item of input `input` at position `pos`: the payload names both,
+    /// so two events equal in `O` from different inputs stay distinct.
+    type Item = StreamItem<KcTag, (usize, usize)>;
+
+    /// `sort_o` as it was before `merge_o`: clone every event, then a
+    /// stable sort by `O`. The reference the merge must reproduce,
+    /// ties included.
+    fn sort_o_reference(streams: &[Vec<Item>]) -> Vec<Event<KcTag, (usize, usize)>> {
+        let mut events: Vec<Event<KcTag, (usize, usize)>> = streams
+            .iter()
+            .flatten()
+            .filter_map(|item| item.as_event().cloned())
+            .collect();
+        events.sort_by_key(|e| e.order_key());
+        events
+    }
+
+    /// Input `input` on stream `sid`: strictly increasing timestamps at
+    /// the given gaps, each item an event or a heartbeat.
+    fn input(input: usize, sid: u32, steps: &[(u64, bool)], heartbeats_only: bool) -> Vec<Item> {
+        let mut ts = 0;
+        steps
+            .iter()
+            .enumerate()
+            .map(|(pos, &(gap, heartbeat))| {
+                ts += gap;
+                let tag = KcTag::Inc(input as u32);
+                if heartbeat || heartbeats_only {
+                    StreamItem::Heartbeat(Heartbeat::new(tag, StreamId(sid), ts))
+                } else {
+                    StreamItem::Event(Event::new(tag, StreamId(sid), ts, (input, pos)))
+                }
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(streams: &[Vec<Item>]) {
+        let want = sort_o_reference(streams);
+        let merged: Vec<_> = merge_o(streams).cloned().collect();
+        assert_eq!(merged, want);
+        assert_eq!(sort_o(streams), want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random inputs over three stream ids, so inputs often share a
+        /// stream id and a timestamp (gaps of 1–3), with heartbeats
+        /// mixed in, empty inputs, and heartbeat-only inputs.
+        #[test]
+        fn merge_o_is_the_stable_sort_by_o(
+            shapes in prop::collection::vec(
+                (0u32..3, prop::collection::vec((1u64..4, prop::bool::ANY), 0..25), 0u8..4),
+                0..6,
+            ),
+        ) {
+            // One input in four, on average, carries heartbeats only.
+            let streams: Vec<Vec<Item>> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, (sid, steps, kind))| input(i, *sid, steps, *kind == 0))
+                .collect();
+            let want = sort_o_reference(&streams);
+            let merged: Vec<_> = merge_o(&streams).cloned().collect();
+            prop_assert_eq!(merged, want);
+        }
+    }
+
+    /// Two inputs under one stream id with identical timestamps: input
+    /// order breaks every tie, as the stable sort did.
+    #[test]
+    fn shared_stream_id_ties_break_by_input_order() {
+        let steps = [(1, false), (1, false), (2, true), (1, false)];
+        let streams = vec![input(0, 4, &steps, false), input(1, 4, &steps, false)];
+        assert_matches_reference(&streams);
+        let order: Vec<(usize, usize)> = merge_o(&streams).map(|e| e.payload).collect();
+        assert_eq!(order, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 3), (1, 3)]);
+    }
+
+    /// No inputs, empty inputs and heartbeat-only inputs merge to nothing
+    /// of their own.
+    #[test]
+    fn empty_and_heartbeat_only_inputs_contribute_nothing() {
+        assert_matches_reference(&[]);
+        let steps = [(2, false), (3, false)];
+        let streams = vec![
+            Vec::new(),
+            input(1, 0, &steps, true),
+            input(2, 1, &steps, false),
+            Vec::new(),
+        ];
+        assert_matches_reference(&streams);
+        assert_eq!(merge_o(&streams).count(), 2);
+        assert_eq!(merge_o(&streams[..2]).next(), None);
     }
 }

@@ -28,6 +28,13 @@
 //! "the parallel run matches the spec" (Theorem 3.5) is a one-liner:
 //! [`Job::verify_against_spec`].
 //!
+//! A run borrows the job's streams; no backend copies them whole. The
+//! thread backend's feeders clone each item only as they send it, and
+//! the sequential specification folds a k-way merge
+//! ([`merge_o`]) over the streams in place of sorting a copy. (The
+//! simulator's sources still own a copy each.) The job's own input is
+//! therefore the memory floor of a run.
+//!
 //! A run never touches the disk. Root-join snapshots
 //! ([`Job::checkpoint_roots`]) come back in [`RunReport::checkpoints`];
 //! making them crash-durable is a separate, fallible step *after* the
@@ -68,7 +75,7 @@ use std::sync::Arc;
 use dgs_core::codec::StateCodec;
 use dgs_core::event::Timestamp;
 use dgs_core::program::DgsProgram;
-use dgs_core::spec::sort_o;
+use dgs_core::spec::merge_o;
 use dgs_core::tag::ITag;
 use dgs_metrics::{MetricsSnapshot, StoreMetrics};
 use dgs_plan::optimizer::{CommMinOptimizer, ITagInfo, Optimizer};
@@ -80,7 +87,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::durable::{DurableStore, StoreError};
 use crate::elastic::ReplanEvent;
 use crate::sim_driver::{build_sim_scheduled, ReplaySource, SimConfig};
-use crate::source::{item_lists, ScheduledStream};
+use crate::source::ScheduledStream;
 use crate::thread_driver::{run_threads, RunEffects, RunTiming, ThreadRunOptions};
 
 /// Where a [`Job`] executes. All three backends return the same
@@ -97,9 +104,11 @@ pub enum Backend {
     /// interleaving follows the simulated link latencies.
     Sim,
     /// The sequential specification ([`run_sequential`-style], paper
-    /// Definition 2.2): events of all streams merged in timestamp order
-    /// and folded through `update` on a single pseudo-worker. This is
-    /// the reference the other two must reproduce (Theorem 3.5).
+    /// Definition 2.2): the job's streams merged in the order `O`
+    /// ([`merge_o`], a k-way merge over the borrowed streams, not a
+    /// sort of a copy) and folded through `update` on a single
+    /// pseudo-worker. This is the reference the other two must
+    /// reproduce (Theorem 3.5).
     ///
     /// [`run_sequential`-style]: dgs_core::spec::run_sequential
     Spec,
@@ -447,7 +456,7 @@ where
                 let result = run_threads(
                     self.program.clone(),
                     &plan,
-                    self.streams.to_vec(),
+                    &self.streams,
                     self.seed(),
                     self.checkpoint_roots,
                     opts,
@@ -505,16 +514,16 @@ where
 
     /// The sequential-specification run ([`Backend::Spec`]).
     fn run_spec(&self, plan: Plan<P::Tag>) -> RunReport<P> {
-        let merged = sort_o(&item_lists(&self.streams));
         let mut state = self.seed();
         let mut outputs: Vec<(P::Out, Timestamp)> = Vec::new();
         let mut scratch = Vec::new();
-        for e in &merged {
+        let (mut n, mut last_ts) = (0u64, 0);
+        for e in merge_o(&self.streams) {
             self.program.update(&mut state, e, &mut scratch);
             outputs.extend(scratch.drain(..).map(|o| (o, e.ts)));
+            n += 1;
+            last_ts = e.ts;
         }
-        let n = merged.len() as u64;
-        let last_ts = merged.last().map(|e| e.ts).unwrap_or(0);
         let checkpoints = if self.checkpoint_roots {
             vec![(WorkerId(0), state, last_ts)]
         } else {

@@ -285,8 +285,7 @@ mod tests {
     use dgs_core::spec::{run_sequential, sort_o};
     use dgs_core::tag::ITag;
     use dgs_plan::plan::{Location, Plan, PlanBuilder};
-    use crate::source::item_lists;
-
+    
     fn it(tag: KcTag, s: u32) -> ITag<KcTag> {
         ITag::new(tag, StreamId(s))
     }
@@ -335,7 +334,7 @@ mod tests {
     where
         P: DgsProgram<Tag = KcTag, Payload = (), Out = (u32, i64)>,
     {
-        let mut want = run_sequential(prog, &sort_o(&item_lists(streams))).1;
+        let mut want = run_sequential(prog, &sort_o(streams)).1;
         want.sort();
         want
     }

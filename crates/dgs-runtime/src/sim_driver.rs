@@ -577,7 +577,7 @@ mod tests {
     #[test]
     fn replayed_schedule_matches_spec_and_tallies_worker_effects() {
         use dgs_core::spec::{run_sequential, sort_o};
-        use crate::source::{item_lists, ScheduledStream};
+        use crate::source::ScheduledStream;
 
         let plan = counter_plan();
         let streams = vec![
@@ -592,7 +592,7 @@ mod tests {
                 .closed(u64::MAX),
         ];
         let expect = {
-            let merged = sort_o(&item_lists(&streams));
+            let merged = sort_o(&streams);
             run_sequential(&KeyCounter, &merged).1
         };
         let sources: Vec<ReplaySource<KcTag, ()>> = streams

@@ -67,27 +67,47 @@ impl<T: Tag, P: Clone> ScheduledStream<T, P> {
     /// Interleave heartbeats every `period` timestamps, up to the last
     /// event (exclusive gaps only — a heartbeat never duplicates an event
     /// timestamp).
+    ///
+    /// Works in place, so the stream is never held twice: the heartbeat
+    /// ticks are collected first, the item vector grows by that many
+    /// placeholder slots, and a merge from the back moves every item
+    /// straight to its final slot.
     pub fn with_heartbeats(mut self, period: Timestamp) -> Self {
         assert!(period > 0);
-        let Some(last) = self.items.last().map(|i| i.ts()) else { return self };
-        let mut merged: Vec<StreamItem<T, P>> = Vec::with_capacity(self.items.len() * 2);
+        let mut ticks: Vec<Timestamp> = Vec::new();
         let mut next_hb = period;
-        for item in self.items.drain(..) {
-            while next_hb < item.ts() {
-                merged.push(StreamItem::Heartbeat(Heartbeat::new(
-                    self.itag.tag.clone(),
-                    self.itag.stream,
-                    next_hb,
-                )));
+        for ts in self.items.iter().map(StreamItem::ts) {
+            while next_hb < ts {
+                ticks.push(next_hb);
                 next_hb += period;
             }
-            if next_hb == item.ts() {
+            if next_hb == ts {
                 next_hb += period;
             }
-            merged.push(item);
         }
-        let _ = last;
-        self.items = merged;
+        if ticks.is_empty() {
+            return self;
+        }
+        let heartbeat =
+            |ts| StreamItem::Heartbeat(Heartbeat::new(self.itag.tag.clone(), self.itag.stream, ts));
+        let items = &mut self.items;
+        let mut read = items.len();
+        items.reserve_exact(ticks.len());
+        items.resize(read + ticks.len(), heartbeat(0));
+        // Back to front: the later of the last unplaced item and the last
+        // unplaced tick takes the last free slot. Slots in `read..write`
+        // hold placeholders, so a swap never moves an item backwards.
+        let mut write = items.len();
+        while let Some(&tick) = ticks.last() {
+            write -= 1;
+            if read > 0 && items[read - 1].ts() > tick {
+                read -= 1;
+                items.swap(read, write);
+            } else {
+                items[write] = heartbeat(tick);
+                ticks.pop();
+            }
+        }
         self
     }
 
@@ -95,6 +115,9 @@ impl<T: Tag, P: Clone> ScheduledStream<T, P> {
     /// every dependent mailbox can flush (Definition 3.3 progress).
     pub fn closed(mut self, ts: Timestamp) -> Self {
         debug_assert!(self.items.last().is_none_or(|i| i.ts() < ts));
+        // Grow by the one item only: a stream is often as large as memory
+        // allows, and amortised growth would double its capacity here.
+        self.items.reserve_exact(1);
         self.items.push(StreamItem::Heartbeat(Heartbeat::new(
             self.itag.tag.clone(),
             self.itag.stream,
@@ -110,10 +133,13 @@ impl<T: Tag, P: Clone> ScheduledStream<T, P> {
     }
 }
 
-/// Collect per-stream item lists (for `dgs_core::spec::sort_o` and the
-/// thread driver).
-pub fn item_lists<T: Tag, P: Clone>(streams: &[ScheduledStream<T, P>]) -> Vec<Vec<StreamItem<T, P>>> {
-    streams.iter().map(|s| s.items.clone()).collect()
+/// A stream lends its items as a slice, so `dgs_core::spec`'s
+/// `sort_o`, `merge_o` and `check_valid_input` take `&[ScheduledStream]`
+/// directly, without copying the items.
+impl<T: Tag, P> AsRef<[StreamItem<T, P>]> for ScheduledStream<T, P> {
+    fn as_ref(&self) -> &[StreamItem<T, P>] {
+        &self.items
+    }
 }
 
 /// A virtual-time paced source for the simulation driver: emits `count`
@@ -221,6 +247,70 @@ mod tests {
         assert!(s.items.iter().all(|i| !i.is_heartbeat()));
     }
 
+    /// `with_heartbeats` as it was before it worked in place: a forward
+    /// merge into a fresh vector. The reference the in-place merge must
+    /// reproduce.
+    fn with_heartbeats_reference<P: Clone>(
+        mut s: ScheduledStream<char, P>,
+        period: Timestamp,
+    ) -> ScheduledStream<char, P> {
+        let mut merged = Vec::new();
+        let mut next_hb = period;
+        for item in s.items.drain(..) {
+            while next_hb < item.ts() {
+                let hb = Heartbeat::new(s.itag.tag, s.itag.stream, next_hb);
+                merged.push(StreamItem::Heartbeat(hb));
+                next_hb += period;
+            }
+            if next_hb == item.ts() {
+                next_hb += period;
+            }
+            merged.push(item);
+        }
+        s.items = merged;
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Random schedules (gaps of 1–12 ticks, so heartbeat ticks often
+        /// land on event ticks, some items heartbeats already) and
+        /// periods from 1 to 60 (often past the last event) come out
+        /// exactly as the forward merge made them.
+        #[test]
+        fn in_place_heartbeats_equal_the_forward_merge(
+            steps in proptest::collection::vec((1u64..13, 0u8..6), 0..40),
+            period in 1u64..61,
+        ) {
+            let mut ts = 0;
+            let items = steps
+                .iter()
+                .enumerate()
+                .map(|(i, &(gap, kind))| {
+                    ts += gap;
+                    // One item in six is a heartbeat already.
+                    if kind == 0 {
+                        StreamItem::Heartbeat(Heartbeat::new('v', StreamId(3), ts))
+                    } else {
+                        StreamItem::Event(Event::new('v', StreamId(3), ts, i))
+                    }
+                })
+                .collect();
+            let s = ScheduledStream { itag: itag(), items };
+            let want = with_heartbeats_reference(s.clone(), period).items;
+            proptest::prop_assert_eq!(s.with_heartbeats(period).items, want);
+        }
+    }
+
+    #[test]
+    fn heartbeat_period_past_the_last_event_adds_nothing() {
+        let s = ScheduledStream::periodic(itag(), 3, 3, 4, |i| i);
+        assert_eq!(s.clone().with_heartbeats(13).items, s.items);
+        let s = ScheduledStream { itag: itag(), items: Vec::<StreamItem<char, ()>>::new() };
+        assert!(s.with_heartbeats(1).items.is_empty());
+    }
+
     #[test]
     fn closed_appends_final_heartbeat() {
         let s = ScheduledStream::periodic(itag(), 1, 1, 2, |_| ()).closed(u64::MAX);
@@ -229,13 +319,14 @@ mod tests {
     }
 
     #[test]
-    fn item_lists_preserves_shape() {
+    fn streams_lend_their_items_as_slices() {
         let a = ScheduledStream::periodic(itag(), 1, 1, 3, |_| ());
         let b = ScheduledStream::periodic(ITag::new('b', StreamId(9)), 2, 2, 2, |_| ());
-        let lists = item_lists(&[a, b]);
-        assert_eq!(lists.len(), 2);
+        let streams = [a, b];
+        let lists: Vec<&[StreamItem<char, ()>]> = streams.iter().map(AsRef::as_ref).collect();
         assert_eq!(lists[0].len(), 3);
-        assert_eq!(lists[1].len(), 2);
+        assert!(std::ptr::eq(lists[1], streams[1].items.as_slice()), "borrowed, not copied");
+        assert_eq!(dgs_core::spec::sort_o(&streams).len(), 5);
     }
 
     #[test]

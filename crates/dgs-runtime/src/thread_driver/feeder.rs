@@ -30,11 +30,12 @@ const INGRESS_PARK: Duration = Duration::from_micros(200);
 const PACE_CHUNK: Duration = Duration::from_millis(1);
 
 /// One input stream as owned by a (capped) feeder thread: its remaining
-/// items and its ingress edge. Feeder threads are capped at the shard
-/// count; each owns a fixed set of streams and interleaves them in
-/// round-robin batches, so per-stream send order (the only order
-/// assumption 4 of Theorem 3.5 needs) is preserved exactly.
-pub(super) struct Feed<Prog: DgsProgram> {
+/// items, borrowed from the job, and its ingress edge. Feeder threads
+/// are capped at the shard count; each owns a fixed set of streams and
+/// interleaves them in round-robin batches, so per-stream send order
+/// (the only order assumption 4 of Theorem 3.5 needs) is preserved
+/// exactly. An item is cloned only when it is queued for its edge.
+pub(super) struct Feed<'a, Prog: DgsProgram> {
     pub(super) si: usize,
     /// The plan partition this stream feeds — fixed for the whole run
     /// even as elastic reroutes move `route` between slots, so in-flight
@@ -43,13 +44,13 @@ pub(super) struct Feed<Prog: DgsProgram> {
     /// Bounded ingress edge into the worker responsible for the stream:
     /// a full edge pushes back on the source instead of buffering.
     pub(super) route: EdgeSender<Prog>,
-    pub(super) items: std::vec::IntoIter<StreamItem<Prog::Tag, Prog::Payload>>,
+    pub(super) items: std::slice::Iter<'a, StreamItem<Prog::Tag, Prog::Payload>>,
 }
 
-fn to_msg<Prog: DgsProgram>(item: StreamItem<Prog::Tag, Prog::Payload>) -> Msg<Prog> {
+fn to_msg<Prog: DgsProgram>(item: &StreamItem<Prog::Tag, Prog::Payload>) -> Msg<Prog> {
     ThreadMsg::Protocol(match item {
-        StreamItem::Event(e) => WorkerMsg::Event(e),
-        StreamItem::Heartbeat(h) => WorkerMsg::Heartbeat(h),
+        StreamItem::Event(e) => WorkerMsg::Event(e.clone()),
+        StreamItem::Heartbeat(h) => WorkerMsg::Heartbeat(h.clone()),
     })
 }
 
@@ -157,7 +158,7 @@ impl<Prog: DgsProgram> FeederControl<Prog> {
     /// are always staged before the unpause store, so a cleared flag
     /// guarantees the staged route is visible here (model-checked:
     /// `rebind_take_reroute_every_send_passes_exhaustively`).
-    fn take_reroute(&self, f: &mut Feed<Prog>) {
+    fn take_reroute(&self, f: &mut Feed<'_, Prog>) {
         if let Some(route) = self.reroutes[f.si].lock().expect("reroute slot poisoned").take() {
             f.route = route;
         }
@@ -205,7 +206,7 @@ fn elapsed_ns(start: Instant) -> u64 {
 /// Fold a send into a stream's metrics: fed-item count and arrival
 /// rate, plus the edge's cumulative stall total (the edge owns the
 /// counter; this just republishes it so snapshots see it live).
-fn note_sent<Prog: DgsProgram>(run: &RunShared<Prog>, f: &Feed<Prog>, sent: usize) {
+fn note_sent<Prog: DgsProgram>(run: &RunShared<Prog>, f: &Feed<'_, Prog>, sent: usize) {
     if let Some(m) = &run.env.metrics {
         let sm = &m.streams[f.si];
         sm.events.add(sent as u64);
@@ -229,12 +230,12 @@ fn note_sent<Prog: DgsProgram>(run: &RunShared<Prog>, f: &Feed<Prog>, sent: usiz
 /// it.
 pub(super) fn run_feeder<Prog: DgsProgram>(
     fi: usize,
-    group: Vec<Feed<Prog>>,
+    group: Vec<Feed<'_, Prog>>,
     run: &RunShared<Prog>,
 ) {
     let ctl = &run.ctl;
     let (pace, start) = (run.env.pace, run.env.start);
-    let mut streams: Vec<(Feed<Prog>, VecDeque<Msg<Prog>>)> =
+    let mut streams: Vec<(Feed<'_, Prog>, VecDeque<Msg<Prog>>)> =
         group.into_iter().map(|f| (f, VecDeque::with_capacity(FEED_BATCH))).collect();
     let mut last_epoch = 0u64;
     while !streams.is_empty() {

@@ -59,8 +59,13 @@
 //! is reported as [`RunTiming::channel_mode`].
 //!
 //! Outputs and checkpoints never cross a queue at all: each task
-//! appends them to its own buffers — an output is stamped where it is
-//! produced — and hands the buffers over once, when it retires.
+//! appends them to its own buffers — a paced run's output latency is
+//! taken where the output is produced — and hands the buffers over
+//! once, when it retires.
+//!
+//! The feeders borrow the input streams for the run's scope and clone
+//! each item only as they send it, so a run never holds its input
+//! twice.
 //!
 //! Termination uses **one in-flight message counter per plan partition**
 //! (forest plans run one independent tree per root; the fork/join
@@ -114,7 +119,7 @@ use crate::worker::{partition_seeds, WorkerCore, WorkerMsg};
 use executor::{place_workers, run_shard, PanicList, Scheduler};
 use feeder::{run_feeder, Feed, FeederControl};
 use migrate::{Controller, Stopper};
-use task::{drop_all_tasks, scheduled_latency_ns, Retired, TaskEnv, TaskSlab, WorkerTask};
+use task::{drop_all_tasks, Produced, Retired, TaskEnv, TaskSlab, WorkerTask};
 use wiring::{send_credited, wire_plan, EdgeStorage, InFlight, Routes, ThreadMsg, Wired};
 
 /// Worker slots pre-allocated in the executor slab for an elastic run's
@@ -185,7 +190,7 @@ impl<Prog: DgsProgram> RunShared<Prog> {
 pub(crate) fn run_threads<Prog>(
     prog: Arc<Prog>,
     plan: &Plan<Prog::Tag>,
-    streams: Vec<ScheduledStream<Prog::Tag, Prog::Payload>>,
+    streams: &[ScheduledStream<Prog::Tag, Prog::Payload>],
     initial: Prog::State,
     checkpoint_root: bool,
     mut options: ThreadRunOptions,
@@ -285,12 +290,12 @@ where
     let stream_itags: Vec<_> = streams.iter().map(|s| s.itag.clone()).collect();
     let stream_part: Vec<usize> = stream_dsts.iter().map(|&d| part_of[d]).collect();
     let mut feeds: Vec<Vec<Feed<Prog>>> = (0..n_feeders).map(|_| Vec::new()).collect();
-    for (si, stream) in streams.into_iter().enumerate() {
+    for (si, stream) in streams.iter().enumerate() {
         feeds[si % n_feeders].push(Feed {
             si,
             part: stream_part[si],
             route: storage.edge(&handles[stream_dsts[si]], Some(options.ingress_capacity.get())),
-            items: stream.items.into_iter(),
+            items: stream.items.iter(),
         });
     }
 
@@ -394,24 +399,11 @@ fn collect<Prog: DgsProgram>(
     if let Some(payload) = panics.into_inner().expect("panic list poisoned").pop() {
         std::panic::resume_unwind(payload);
     }
-    let Retired { effects, outputs: buffers, checkpoints } =
+    let Retired { effects, produced, checkpoints } =
         retired.into_inner().expect("retired list poisoned");
-    // Latencies exist only for paced runs (full-speed feeding has no
-    // meaningful per-event reference time).
-    let latency_pace = env.pace.filter(|_| record_timing);
-    let total: usize = buffers.iter().map(Vec::len).sum();
-    let mut outputs = Vec::with_capacity(total);
-    let mut output_latency_ns = Vec::with_capacity(latency_pace.map_or(0, |_| total));
-    // Each task's buffer is freed as soon as it is folded in, so the
-    // outputs are never held a third time.
-    for buffer in buffers {
-        for (o, ts, at) in buffer {
-            if let Some(ns) = latency_pace {
-                output_latency_ns.push(scheduled_latency_ns(env.start, ns, ts, at));
-            }
-            outputs.push((o, ts));
-        }
-    }
+    // Only the smaller task buffers are copied: each is appended onto the
+    // largest and freed. Latencies exist only on paced runs.
+    let Produced { outputs, latency_ns } = Produced::concat(produced);
     ThreadRunResult {
         outputs,
         checkpoints,
@@ -420,7 +412,7 @@ fn collect<Prog: DgsProgram>(
             channel_mode: storage.name(),
             executor_threads: shards_n,
             wall,
-            output_latency_ns,
+            output_latency_ns: latency_ns,
         }),
         metrics: env.metrics,
         replans,
@@ -503,13 +495,16 @@ pub struct RunTiming {
     pub executor_threads: usize,
     /// Sources started → global quiescence.
     pub wall: Duration,
-    /// Per-output latency in wall nanoseconds, one entry per output:
-    /// production time minus the *scheduled* emission time of the
-    /// triggering event (`start + ts * pace_ns_per_tick`). Measuring from
-    /// the schedule rather than the actual send avoids coordinated
-    /// omission: a backed-up source shows up as latency, not as a slower
-    /// benchmark. Empty when the run is unpaced (full-speed feeding has
-    /// no meaningful per-event reference time).
+    /// Per-output latency in wall nanoseconds, one entry per output on a
+    /// paced run: production time minus the *scheduled* emission time of
+    /// the triggering event (`start + ts * pace_ns_per_tick`), taken by
+    /// the worker as it produces the output. Measuring from the schedule
+    /// rather than the actual send avoids coordinated omission: a
+    /// backed-up source shows up as latency, not as a slower benchmark.
+    /// Entry `i` belongs to the run's `i`-th output. Empty
+    /// when the run is unpaced: full-speed feeding has no meaningful
+    /// per-event reference time, and such a run reads no clock per
+    /// output.
     pub output_latency_ns: Vec<u64>,
 }
 
@@ -587,8 +582,7 @@ mod tests {
     use dgs_core::spec::{run_sequential, sort_o};
     use dgs_core::tag::ITag;
     use dgs_plan::plan::{Location, PlanBuilder};
-    use crate::source::item_lists;
-
+    
     fn it(tag: KcTag, s: u32) -> ITag<KcTag> {
         ITag::new(tag, StreamId(s))
     }
@@ -625,12 +619,12 @@ mod tests {
         options: ThreadRunOptions,
     ) -> ThreadRunResult<<KeyCounter as DgsProgram>::State, (u32, i64)> {
         let init = KeyCounter.init();
-        run_threads(Arc::new(KeyCounter), plan, streams, init, checkpoint_root, options)
+        run_threads(Arc::new(KeyCounter), plan, &streams, init, checkpoint_root, options)
     }
 
     /// The sequential specification's outputs for `streams`, sorted.
     fn spec_sorted(streams: &[ScheduledStream<KcTag, ()>]) -> Vec<(u32, i64)> {
-        let mut want = run_sequential(&KeyCounter, &sort_o(&item_lists(streams))).1;
+        let mut want = run_sequential(&KeyCounter, &sort_o(streams)).1;
         want.sort();
         want
     }
@@ -830,12 +824,12 @@ mod tests {
                     ScheduledStream::periodic(ITag::new(tag, StreamId(s)), 1, 1, 50, |_| ())
                         .closed(u64::MAX)
                 })
-                .collect();
+                .collect::<Vec<_>>();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_threads(
                     Arc::new(Exploding),
                     &plan,
-                    streams,
+                    &streams,
                     0,
                     false,
                     ThreadRunOptions { executor_threads: Some(threads), ..Default::default() },
@@ -1072,7 +1066,7 @@ mod tests {
         let result = run_threads(
             Arc::new(KeyCounter),
             &plan,
-            streams,
+            &streams,
             seed,
             false,
             ThreadRunOptions::default(),

@@ -44,7 +44,7 @@ pub(super) const METRICS_FLUSH_EVERY: u64 = 256;
 /// Latency of an output produced at `at`, measured from the *scheduled*
 /// emission time of its triggering event (`start + ts * ns_per_tick`; a
 /// product that overflows is scheduled at `start`).
-pub(super) fn scheduled_latency_ns(
+fn scheduled_latency_ns(
     start: Instant,
     ns_per_tick: u64,
     ts: Timestamp,
@@ -66,9 +66,37 @@ fn msg_ts<T, P, S>(wm: &WorkerMsg<T, P, S>) -> Timestamp {
     }
 }
 
-/// An output with its triggering timestamp and the wall-clock instant
-/// it was produced.
-pub(super) type Stamped<Out> = (Out, Timestamp, Instant);
+/// What one task produced: every output with its triggering timestamp,
+/// and — on paced runs only — each output's [`scheduled_latency_ns`],
+/// index for index. An unpaced run reads no clock per output.
+pub(super) struct Produced<Out> {
+    pub(super) outputs: Vec<(Out, Timestamp)>,
+    pub(super) latency_ns: Vec<u64>,
+}
+
+impl<Out> Default for Produced<Out> {
+    fn default() -> Self {
+        Produced { outputs: Vec::new(), latency_ns: Vec::new() }
+    }
+}
+
+impl<Out> Produced<Out> {
+    /// Every buffer in `all` appended onto the largest one, so only the
+    /// smaller ones are copied (once).
+    pub(super) fn concat(mut all: Vec<Produced<Out>>) -> Produced<Out> {
+        let Some(largest) = (0..all.len()).max_by_key(|&i| all[i].outputs.len()) else {
+            return Produced::default();
+        };
+        let mut into = all.swap_remove(largest);
+        into.outputs.reserve_exact(all.iter().map(|p| p.outputs.len()).sum());
+        into.latency_ns.reserve_exact(all.iter().map(|p| p.latency_ns.len()).sum());
+        for mut p in all {
+            into.outputs.append(&mut p.outputs);
+            into.latency_ns.append(&mut p.latency_ns);
+        }
+        into
+    }
+}
 
 type ProtocolMsg<Prog> = WorkerMsg<
     <Prog as DgsProgram>::Tag,
@@ -113,7 +141,7 @@ where
     fx: Effects<Prog>,
     // Outputs and checkpoints stay task-local until the task retires
     // ([`Retired::take`]): nothing on the per-output path is shared.
-    outputs: Vec<Stamped<Prog::Out>>,
+    produced: Produced<Prog::Out>,
     checkpoints: Vec<(Prog::State, Timestamp)>,
     // Task-local effect tallies, flushed into the registry every
     // `METRICS_FLUSH_EVERY` messages and handed over when the task retires —
@@ -149,7 +177,7 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
             in_flight,
             env,
             fx: Effects::<Prog>::default(),
-            outputs: Vec::new(),
+            produced: Produced::default(),
             checkpoints: Vec::new(),
             msgs: 0,
             updates: 0,
@@ -275,17 +303,21 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
     }
 
     /// Move the buffered step's outputs and checkpoints into the task's
-    /// own buffers, each output stamped here, where it is produced.
+    /// own buffers. A paced run's output latency is taken here, where the
+    /// output is produced.
     fn keep_effects(&mut self) {
         for (o, ts) in self.fx.outputs.drain(..) {
-            let at = Instant::now();
+            if let Some(ns) = self.env.pace {
+                let latency = scheduled_latency_ns(self.env.start, ns, ts, Instant::now());
+                if let Some(m) = &self.env.metrics {
+                    m.output_latency.record(latency);
+                }
+                self.produced.latency_ns.push(latency);
+            }
             if let Some(m) = &self.env.metrics {
                 m.outputs.inc();
-                if let Some(ns) = self.env.pace {
-                    m.output_latency.record(scheduled_latency_ns(self.env.start, ns, ts, at));
-                }
             }
-            self.outputs.push((o, ts, at));
+            self.produced.outputs.push((o, ts));
         }
         for (state, ts) in self.fx.checkpoints.drain(..) {
             if let Some(m) = &self.env.metrics {
@@ -361,7 +393,7 @@ pub(super) fn drop_all_tasks<Prog: DgsProgram>(tasks: &TaskSlab<Prog>) {
 pub(super) struct Retired<Prog: DgsProgram> {
     pub(super) effects: RunEffects,
     /// One buffer per retired task, moved in whole.
-    pub(super) outputs: Vec<Vec<Stamped<Prog::Out>>>,
+    pub(super) produced: Vec<Produced<Prog::Out>>,
     /// Root-tagged checkpoints. A partition's root is the only task of
     /// its generation that checkpoints, and generations retire in
     /// order, so per-root order is trigger-timestamp order even across
@@ -371,7 +403,11 @@ pub(super) struct Retired<Prog: DgsProgram> {
 
 impl<Prog: DgsProgram> Retired<Prog> {
     pub(super) fn new(slots: usize) -> Self {
-        Retired { effects: RunEffects::zeroed(slots), outputs: Vec::new(), checkpoints: Vec::new() }
+        Retired {
+            effects: RunEffects::zeroed(slots),
+            produced: Vec::new(),
+            checkpoints: Vec::new(),
+        }
     }
 
     /// Retire `task`: final registry flush, effect counters, and its
@@ -383,8 +419,8 @@ impl<Prog: DgsProgram> Retired<Prog> {
         self.effects.updates[task.slot] = task.updates;
         self.effects.joins[task.slot] = task.joins;
         self.effects.forks[task.slot] = task.forks;
-        if !task.outputs.is_empty() {
-            self.outputs.push(task.outputs);
+        if !task.produced.outputs.is_empty() {
+            self.produced.push(task.produced);
         }
         let root = task.cp_root;
         self.checkpoints.extend(task.checkpoints.into_iter().map(|(s, ts)| (root, s, ts)));

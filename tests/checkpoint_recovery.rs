@@ -29,7 +29,6 @@ use flumina::apps::value_barrier::{ValueBarrier, VbWorkload};
 use flumina::core::event::StreamId;
 use flumina::core::spec::{run_sequential, sort_o};
 use flumina::runtime::checkpoint::{suffix_after, MemoryStore};
-use flumina::runtime::source::item_lists;
 
 #[test]
 fn recovery_from_any_checkpoint_reproduces_the_spec() {
@@ -37,7 +36,7 @@ fn recovery_from_any_checkpoint_reproduces_the_spec() {
     let streams = w.scheduled_streams(8);
     let barrier_stream = StreamId(w.value_streams);
     let spec = {
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         run_sequential(&ValueBarrier, &merged).1
     };
 
@@ -81,7 +80,7 @@ fn snapshot_state_is_consistent_cut() {
     // events at or before the k-th barrier.
     let w = VbWorkload { value_streams: 2, values_per_barrier: 25, barriers: 4 };
     let streams = w.scheduled_streams(5);
-    let merged = sort_o(&item_lists(&streams));
+    let merged = sort_o(&streams);
     let full = Job::new(ValueBarrier, streams)
         .with_plan(w.plan())
         .checkpoint_roots(true)

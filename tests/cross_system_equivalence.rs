@@ -8,7 +8,6 @@ use flumina::api::{Backend, Job};
 use flumina::apps::fraud::baselines::{build_fraud_flink_manual, FdBaselineParams};
 use flumina::apps::value_barrier::baselines::{build_value_barrier, VbBaselineParams};
 use flumina::apps::value_barrier::{ValueBarrier, VbWorkload};
-use flumina::runtime::source::item_lists;
 use flumina::core::spec::{run_sequential, sort_o};
 
 #[test]
@@ -19,7 +18,7 @@ fn vb_baseline_and_dgs_conserve_total_mass() {
     let w = VbWorkload { value_streams: n, values_per_barrier: vpb, barriers };
     let streams = w.scheduled_streams(10);
     let spec_total: i64 = {
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         run_sequential(&ValueBarrier, &merged).1.iter().sum()
     };
     let dgs = Job::new(ValueBarrier, streams).with_plan(w.plan()).run(Backend::threads());

@@ -26,7 +26,7 @@ use flumina::core::tag::ITag;
 use flumina::plan::plan::{Location, Plan, PlanBuilder};
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::sim_driver::{build_sim, SimConfig};
-use flumina::runtime::source::{item_lists, PacedSource};
+use flumina::runtime::source::PacedSource;
 use flumina::sim::{LinkSpec, Topology};
 
 fn pv_workload() -> PvWorkload {
@@ -34,7 +34,7 @@ fn pv_workload() -> PvWorkload {
 }
 
 fn pv_spec(w: &PvWorkload) -> Vec<flumina::apps::page_view::PvOut> {
-    let merged = sort_o(&item_lists(&w.scheduled_streams(6)));
+    let merged = sort_o(&w.scheduled_streams(6));
     run_sequential(&PageViewJoin, &merged).1
 }
 

@@ -11,7 +11,7 @@ use flumina::core::spec::{run_sequential, sort_o};
 use flumina::core::tag::ITag;
 use flumina::plan::plan::{Location, PlanBuilder};
 use flumina::plan::validity::check_valid_for_program;
-use flumina::runtime::source::{item_lists, ScheduledStream};
+use flumina::runtime::source::ScheduledStream;
 
 #[test]
 fn pair_split_runs_with_heterogeneous_leaf_states() {
@@ -40,7 +40,7 @@ fn pair_split_runs_with_heterogeneous_leaf_states() {
             .with_heartbeats(9)
             .closed(Timestamp::MAX),
     ];
-    let expect = run_sequential(&PairSplit, &sort_o(&item_lists(&streams))).1;
+    let expect = run_sequential(&PairSplit, &sort_o(&streams)).1;
     let result = Job::new(PairSplit, streams).with_plan(plan).run(Backend::threads());
     let mut with_ts = result.outputs.clone();
     with_ts.sort_by_key(|(_, ts)| *ts);

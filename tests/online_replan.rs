@@ -25,7 +25,6 @@ use flumina::core::spec::{run_sequential, sort_o};
 use flumina::core::DgsProgram;
 use flumina::plan::plan::{sequential_plan, Location};
 use flumina::runtime::checkpoint::{suffix_after, MemoryStore};
-use flumina::runtime::source::item_lists;
 
 /// The elastic chaos matrix: zipf-skewed, ON/OFF-bursty page-view runs
 /// across burst seeds and both replan directions, driven by the *live*
@@ -60,7 +59,7 @@ fn elastic_chaos_matrix_preserves_spec_and_purity() {
         let w = PvZipfWorkload { pages: 4, per_window: 12, windows: 6, zipf_s: 1.5, seed };
         let streams = w.streams(hb);
         let spec = {
-            let merged = sort_o(&item_lists(&streams));
+            let merged = sort_o(&streams);
             run_sequential(&PageViewJoin, &merged).1
         };
         let mut spec_sorted: Vec<String> = spec.iter().map(|o| format!("{o:?}")).collect();
@@ -156,7 +155,7 @@ fn switching_plans_mid_stream_preserves_semantics() {
     let streams = w.scheduled_streams(10);
     let barrier_stream = StreamId(w.value_streams);
     let spec = {
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         run_sequential(&ValueBarrier, &merged).1
     };
     let dep = FnDependence::new(

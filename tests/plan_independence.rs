@@ -17,7 +17,6 @@ use flumina::core::DgsProgram;
 use flumina::plan::plan::{sequential_plan, Location, PlanBuilder};
 use flumina::plan::validity::check_valid_for_program;
 use flumina::runtime::sim_driver::{build_sim, SimConfig};
-use flumina::runtime::source::item_lists;
 use flumina::sim::{LinkSpec, Topology};
 
 #[test]
@@ -25,7 +24,7 @@ fn all_valid_plans_agree_with_the_spec() {
     let w = VbWorkload { value_streams: 4, values_per_barrier: 60, barriers: 4 };
     let streams = w.scheduled_streams(10);
     let expect = {
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         run_sequential(&ValueBarrier, &merged).1
     };
     let dep = FnDependence::new(

@@ -14,7 +14,7 @@ use flumina::core::spec::{run_sequential, sort_o};
 use flumina::core::tag::ITag;
 use flumina::core::DgsProgram;
 use flumina::plan::validity::check_valid_for_program;
-use flumina::runtime::source::{item_lists, ScheduledStream};
+use flumina::runtime::source::ScheduledStream;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,7 +67,7 @@ fn random_plans_random_workloads_match_spec_on_threads() {
             .unwrap_or_else(|e| panic!("seed {seed}: invalid generated plan: {e:?}"));
 
         let expect = {
-            let merged = sort_o(&item_lists(&streams));
+            let merged = sort_o(&streams);
             run_sequential(&KeyCounter, &merged).1
         };
         let result = Job::new(KeyCounter, streams).with_plan(plan.clone()).run(Backend::threads());
@@ -111,7 +111,7 @@ fn deep_plans_behave_like_flat_ones() {
     };
     let dep = FnDependence::new(|a: &KcTag, b: &KcTag| KeyCounter.depends(a, b));
     let expect = {
-        let merged = sort_o(&item_lists(&streams));
+        let merged = sort_o(&streams);
         run_sequential(&KeyCounter, &merged).1
     };
     for seed in 0..8u64 {

@@ -17,7 +17,7 @@ use flumina::core::tag::ITag;
 use flumina::plan::optimizer::{CommMinOptimizer, ITagInfo, Optimizer};
 use flumina::plan::plan::Location;
 use flumina::plan::validity::check_valid_for_program;
-use flumina::runtime::source::{item_lists, ScheduledStream};
+use flumina::runtime::source::ScheduledStream;
 
 #[test]
 fn facade_pipeline_program_plan_threads_spec() {
@@ -63,7 +63,7 @@ fn facade_pipeline_program_plan_threads_spec() {
     assert!(plan.len() > 1, "rate-skewed workload should parallelize, got:\n{}", plan.render());
 
     // 4. Sequential specification on the O-sorted merge of all streams.
-    let expect = run_sequential(&program, &sort_o(&item_lists(&streams))).1;
+    let expect = run_sequential(&program, &sort_o(&streams)).1;
     assert!(!expect.is_empty(), "workload must produce outputs for the check to mean anything");
 
     // 5. Real-thread execution must reproduce the spec as a multiset.

@@ -4,8 +4,9 @@
 #
 #   tools/bench-pairs.sh <parent-rev> <workload> [--seed N] [--pairs 10]
 #
-# Checks <parent-rev> out with `git worktree add` into a temporary
-# directory (under $TMPDIR), builds both bench/ packages once, each into its
+# Extracts <parent-rev> with `git archive` into a temporary directory
+# (under $TMPDIR) — it never writes to .git, so it works in a read-only
+# clone too — builds both bench/ packages once, each into its
 # own target directory, then runs <pairs> pairs of draws from the repo root,
 # alternating which side goes first. Per end-to-end metric of BENCHMARK.json
 # it prints each side's median and quartiles, how many pairs the change won
@@ -41,13 +42,9 @@ root=$PWD
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
-cleanup() {
-    git worktree remove --force "$work/parent" 2>/dev/null || true
-    git worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$work/parent" "$parent_rev"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/parent"
+git archive "$parent_rev" | tar -x -C "$work/parent"
 
 build() { # <source root> <side>
     echo "building $2 ($1)" >&2
