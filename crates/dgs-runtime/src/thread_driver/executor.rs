@@ -5,9 +5,9 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
 
 use dgs_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use dgs_sync::time::Duration;
 use dgs_sync::{Condvar, Mutex, TryLockError};
 
 use dgs_core::program::DgsProgram;
@@ -58,8 +58,8 @@ pub(super) struct Scheduler {
     /// races the drain either gets drained or re-enqueues the worker —
     /// never a lost wakeup.
     scheduled: Vec<AtomicBool>,
-    /// Workers still running; shards exit when this reaches zero.
-    live: AtomicUsize,
+    /// Every partition is quiescent: shards exit.
+    stopped: AtomicBool,
     /// A worker panicked: shards tear down instead of draining.
     failed: AtomicBool,
     /// Per-shard handled-message EWMA, refreshed at the flush cadence.
@@ -72,8 +72,8 @@ pub(super) struct Scheduler {
 
 impl Scheduler {
     /// `placement` covers every slab slot (including elastic reserve
-    /// slots); `live` counts only the slots that hold a task at start.
-    pub(super) fn new(placement: &[usize], shards: usize, live: usize) -> Scheduler {
+    /// slots).
+    pub(super) fn new(placement: &[usize], shards: usize) -> Scheduler {
         Scheduler {
             shards: (0..shards)
                 .map(|_| ShardQueue {
@@ -83,7 +83,7 @@ impl Scheduler {
                 .collect(),
             shard_of: placement.iter().map(|&s| AtomicUsize::new(s)).collect(),
             scheduled: placement.iter().map(|_| AtomicBool::new(false)).collect(),
-            live: AtomicUsize::new(live),
+            stopped: AtomicBool::new(false),
             failed: AtomicBool::new(false),
             rates: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -131,19 +131,15 @@ impl Scheduler {
         }
     }
 
-    /// An elastic replan installed `k` new tasks. Callers grow the
-    /// count *before* retiring the tasks being replaced, so it never
-    /// transits zero mid-run.
-    pub(super) fn add_live(&self, k: usize) {
-        self.live.fetch_add(k, Ordering::SeqCst);
+    /// The run is over: every partition is quiescent. Wake every shard
+    /// so it observes the flag and exits.
+    pub(super) fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.wake_all();
     }
 
-    /// A worker finished; the last one out wakes every parked shard so
-    /// they can observe `live == 0` and exit.
-    pub(super) fn retire(&self) {
-        if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.wake_all();
-        }
+    fn has_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
     }
 
     pub(super) fn has_failed(&self) -> bool {
@@ -156,6 +152,9 @@ impl Scheduler {
         self.wake_all();
     }
 
+    /// Take each shard's run-queue lock before notifying it: a shard
+    /// reads the flags under that lock before it waits, so it either
+    /// sees them or is waiting when the notify lands.
     fn wake_all(&self) {
         for sq in &self.shards {
             drop(sq.queue.lock().expect("shard run queue poisoned"));
@@ -196,7 +195,7 @@ impl Scheduler {
     fn park(&self, s: usize) {
         let sq = &self.shards[s];
         let mut q = sq.queue.lock().expect("shard run queue poisoned");
-        if q.ids.is_empty() && self.live.load(Ordering::SeqCst) != 0 && !self.has_failed() {
+        if q.ids.is_empty() && !self.has_stopped() && !self.has_failed() {
             q.parked = true;
             (q, _) = sq.ready.wait_timeout(q, IDLE_PARK).expect("shard run queue poisoned");
             q.parked = false;
@@ -237,8 +236,8 @@ pub(super) fn place_workers(part_of: &[usize], partitions: usize, shards: usize)
 
 /// One executor shard: pop ready workers off the local run queue, poll
 /// each for a bounded batch, steal from busier shards when idle, park
-/// when there is nothing to steal. Exits when every worker has finished
-/// or the run has failed.
+/// when there is nothing to steal. Exits once the driver has stopped the
+/// run (every partition quiescent) or the run has failed.
 pub(super) fn run_shard<Prog: DgsProgram>(s: usize, run: &RunShared<Prog>) {
     // If the shard itself unwinds (an executor bug, not a program
     // panic — those are caught per poll below), fail the run and tear
@@ -247,7 +246,7 @@ pub(super) fn run_shard<Prog: DgsProgram>(s: usize, run: &RunShared<Prog>) {
     struct ShardGuard<'a, Prog: DgsProgram>(&'a RunShared<Prog>);
     impl<Prog: DgsProgram> Drop for ShardGuard<'_, Prog> {
         fn drop(&mut self) {
-            if std::thread::panicking() {
+            if dgs_sync::thread::panicking() {
                 self.0.fail();
             }
         }
@@ -270,7 +269,7 @@ pub(super) fn run_shard<Prog: DgsProgram>(s: usize, run: &RunShared<Prog>) {
     };
     while !sched.has_failed() {
         let Some((w, stolen)) = sched.next_ready(s) else {
-            if sched.live.load(Ordering::SeqCst) == 0 {
+            if sched.has_stopped() {
                 break;
             }
             sched.park(s);
@@ -296,18 +295,9 @@ pub(super) fn run_shard<Prog: DgsProgram>(s: usize, run: &RunShared<Prog>) {
         match std::panic::catch_unwind(AssertUnwindSafe(|| task.poll(POLL_BUDGET))) {
             Ok(state) => {
                 batch_msgs += task.msgs() - before;
-                match state {
-                    TaskPoll::Pending => {}
-                    TaskPoll::HasMore => {
-                        drop(slot);
-                        sched.wake(w);
-                    }
-                    TaskPoll::Done => {
-                        let done = slot.take().expect("task checked above");
-                        drop(slot);
-                        run.retire(done);
-                        sched.retire();
-                    }
+                if state == TaskPoll::HasMore {
+                    drop(slot);
+                    sched.wake(w);
                 }
             }
             Err(payload) => {

@@ -5,15 +5,15 @@
 //! reroutes them with.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 use dgs_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dgs_sync::time::{Duration, Instant};
 use dgs_sync::{Condvar, Mutex};
 
 use dgs_core::event::{StreamItem, Timestamp};
 use dgs_core::program::DgsProgram;
 
-use super::wiring::{EdgeSender, Msg, ThreadMsg};
+use super::wiring::{EdgeSender, Msg};
 use super::RunShared;
 use crate::worker::WorkerMsg;
 
@@ -48,10 +48,10 @@ pub(super) struct Feed<'a, Prog: DgsProgram> {
 }
 
 fn to_msg<Prog: DgsProgram>(item: &StreamItem<Prog::Tag, Prog::Payload>) -> Msg<Prog> {
-    ThreadMsg::Protocol(match item {
+    match item {
         StreamItem::Event(e) => WorkerMsg::Event(e.clone()),
         StreamItem::Heartbeat(h) => WorkerMsg::Heartbeat(h.clone()),
-    })
+    }
 }
 
 /// The elastic controller's handle on the feeder threads: pause the
@@ -124,23 +124,15 @@ impl<Prog: DgsProgram> FeederControl<Prog> {
         }
         let e = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         self.notify();
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.gate.lock().expect("feeder control poisoned");
-        loop {
-            let all = (0..self.acks.len()).all(|f| {
-                self.finished[f].load(Ordering::SeqCst) || self.acks[f].load(Ordering::SeqCst) >= e
-            });
-            if all {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _) =
-                self.cv.wait_timeout(guard, deadline - now).expect("feeder control poisoned");
-            guard = g;
-        }
+        let acked = |f: usize| {
+            self.finished[f].load(Ordering::SeqCst) || self.acks[f].load(Ordering::SeqCst) >= e
+        };
+        let guard = self.gate.lock().expect("feeder control poisoned");
+        let (_guard, wait) = self
+            .cv
+            .wait_timeout_while(guard, timeout, |_| !(0..self.acks.len()).all(acked))
+            .expect("feeder control poisoned");
+        !wait.timed_out()
     }
 
     /// Stage a rebound ingress edge for stream `si`. Always staged

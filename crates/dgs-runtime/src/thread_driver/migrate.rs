@@ -8,9 +8,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
-use std::time::{Duration, Instant};
 
-use dgs_sync::atomic::{AtomicBool, Ordering};
+use dgs_sync::time::{Duration, Instant};
 use dgs_sync::{Arc, Condvar, Mutex};
 
 use dgs_core::event::{Event, Heartbeat, Timestamp};
@@ -33,62 +32,30 @@ use crate::worker::{WorkerCore, WorkerMsg};
 /// the attempt is abandoned.
 const HOLD_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// One-shot signal a partition root raises once an elastic-replan hold
-/// has engaged (its full state is captured in [`WorkerCore`]): the
-/// controller parks here instead of polling the slab.
+/// A one-shot flag with a timed wait. Two uses: a partition root sets
+/// its hold latch once an elastic-replan hold has engaged (its full
+/// state is captured in [`WorkerCore`]), so the controller parks instead
+/// of polling the slab; and the driver sets the run's stop latch once
+/// every source has finished, waking the controller out of its interval
+/// park so it exits before the run ends (no replan may race the end).
 #[derive(Default)]
-pub(super) struct HoldGate {
-    done: Mutex<bool>,
+pub(super) struct Latch {
+    set: Mutex<bool>,
     cv: Condvar,
 }
 
-impl HoldGate {
-    pub(super) fn signal(&self) {
-        *self.done.lock().expect("hold gate poisoned") = true;
+impl Latch {
+    pub(super) fn set(&self) {
+        *self.set.lock().expect("latch poisoned") = true;
         self.cv.notify_all();
     }
 
-    /// `true` once signalled; `false` if `timeout` elapses first.
+    /// `true` once set; `false` if `timeout` elapses first.
     fn wait_for(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut done = self.done.lock().expect("hold gate poisoned");
-        while !*done {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _) = self.cv.wait_timeout(done, deadline - now).expect("hold gate poisoned");
-            done = g;
-        }
-        true
-    }
-}
-
-/// Stop flag the driver raises once every source has finished, waking
-/// the elastic controller out of its interval park so it exits before
-/// the shutdown broadcast (no replan may race teardown).
-#[derive(Default)]
-pub(super) struct Stopper {
-    stop: AtomicBool,
-    gate: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Stopper {
-    /// Park for one controller interval; `true` when stop was requested.
-    fn wait(&self, d: Duration) -> bool {
-        let guard = self.gate.lock().expect("stopper poisoned");
-        if self.stop.load(Ordering::SeqCst) {
-            return true;
-        }
-        let _ = self.cv.wait_timeout(guard, d).expect("stopper poisoned");
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn signal(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        drop(self.gate.lock().expect("stopper poisoned"));
-        self.cv.notify_all();
+        let guard = self.set.lock().expect("latch poisoned");
+        let (set, _) =
+            self.cv.wait_timeout_while(guard, timeout, |set| !*set).expect("latch poisoned");
+        *set
     }
 }
 
@@ -146,8 +113,9 @@ struct Rebuilt<Prog: DgsProgram> {
 }
 
 /// The elastic replan controller. Single-threaded by construction, so
-/// replans never interleave; the driver stops it (stopper + join)
-/// before the shutdown broadcast, so no replan races teardown.
+/// replans never interleave; the driver stops it (stop latch + join)
+/// before it waits for quiescence, so no replan races the end of the
+/// run.
 pub(super) struct Controller<'a, Prog: DgsProgram> {
     run: &'a RunShared<Prog>,
     prog: Arc<Prog>,
@@ -221,7 +189,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
     pub(super) fn run(mut self) -> Vec<ReplanEvent> {
         let run = self.run;
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            while !run.stopper.wait(self.cfg.interval) {
+            while !run.stop.wait_for(self.cfg.interval) {
                 if run.sched.has_failed() || self.replans.len() >= self.cfg.max_replans {
                     break;
                 }
@@ -256,7 +224,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
         let k_old = self.parts[p].plan.len();
         let rebuilt = self.rebuild(p, &sub_plan, backlog);
         let new_root_slot = rebuilt.slots[sub_plan.root().0];
-        let (slots, handles) = self.rebind(p, k_old, rebuilt);
+        let (slots, handles) = self.rebind(p, rebuilt);
         self.metrics.trace(new_root_slot, TraceKind::ReplanMigrate, seq);
         self.resume(p, &sub_plan, &handles);
         self.metrics.trace(new_root_slot, TraceKind::ReplanResume, seq);
@@ -361,7 +329,7 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
     /// times out; the detector simply tries again later.
     fn hold_and_drain(&self, p: usize, root_slot: usize) -> bool {
         let run = self.run;
-        let gate = Arc::new(HoldGate::default());
+        let gate = Arc::new(Latch::default());
         let immediate = {
             let mut slot = run.lock_slot(root_slot);
             let Some(task) = slot.as_mut() else { return false };
@@ -484,32 +452,15 @@ impl<'a, Prog: DgsProgram> Controller<'a, Prog> {
         Rebuilt { slots, handles: wired.handles, tasks }
     }
 
-    /// Install the rebuilt tasks. Each new slot's driver edge must exist
-    /// *before* its task is installed, so an inbox is never observed
-    /// with zero senders (which reads as teardown).
-    fn rebind(
-        &self,
-        p: usize,
-        k_old: usize,
-        rebuilt: Rebuilt<Prog>,
-    ) -> (Vec<usize>, Vec<InboxHandle<Prog>>) {
+    /// Install the rebuilt tasks and schedule each once. A new task whose
+    /// inbox has no sender yet just reads empty until `resume` attaches
+    /// its ingress edges.
+    fn rebind(&self, p: usize, rebuilt: Rebuilt<Prog>) -> (Vec<usize>, Vec<InboxHandle<Prog>>) {
         let run = self.run;
         let Rebuilt { slots, handles, tasks } = rebuilt;
-        {
-            let mut plane = run.driver_plane.lock().expect("driver plane poisoned");
-            for (&g, h) in slots.iter().zip(&handles) {
-                plane[g] = Some(run.storage.edge(h, None));
-            }
-        }
         for (&g, task) in slots.iter().zip(tasks) {
             self.metrics.activate_worker(g, p);
             *run.lock_slot(g) = Some(task);
-        }
-        // Grow live *before* retiring the old tasks so the count never
-        // transits zero mid-run.
-        run.sched.add_live(slots.len());
-        for _ in 0..k_old {
-            run.sched.retire();
         }
         for &g in &slots {
             run.sched.wake(g);

@@ -34,14 +34,16 @@
 //! (scheduler, placement, shard loop), `feeder` (the one source loop
 //! and its control plane), `migrate` (the elastic replan
 //! controller); `run_threads` below reads wire → seed → spawn → await
-//! quiescence → shut down → collect. It is reached only through
+//! quiescence → stop → collect. It is reached only through
 //! [`Job::run`](crate::job::Job::run) with [`Backend::Threads`](crate::job::Backend::Threads).
 //!
 //! # Delivery plane
 //!
-//! There is one: every `(sender, receiver)` pair — plan edges,
-//! feeder→worker, driver→worker — gets its own SPSC FIFO queue into the
-//! receiving worker's single-consumer inbox (`crossbeam::edge`).
+//! There is one: every `(sender, receiver)` pair — plan edges and
+//! feeder→worker — gets its own SPSC FIFO queue into the receiving
+//! worker's single-consumer inbox (`crossbeam::edge`). The driver sends
+//! nothing: it seeds the partition roots itself, and the run ends on
+//! quiescence, not on a message.
 //! Delivery is lossless FIFO **per edge and nothing more** — exactly
 //! assumption 4 of Theorem 3.5, which is all the protocol needs (pinned
 //! by `tests/adversarial_delivery.rs`). Worker sends are batched per
@@ -79,18 +81,29 @@
 //! driver thread blocks on each partition's condvar in turn — partitions
 //! drain independently, there is no polling loop anywhere on the
 //! termination path, and a surrendered message (see below) re-credits
-//! only its own partition. Sends to a worker whose task has already
-//! been torn down (it panicked, or teardown is in progress) are
-//! *surrendered* rather than `expect`ed: the partition counter is
-//! re-credited for every undeliverable message so quiescence is still
-//! reached, and the worker's panic (if any) is contained by the shard
+//! only its own partition.
+//!
+//! Quiescence is the only way a run ends. Once the feeders have joined,
+//! the elastic controller has stopped and every partition's counter
+//! has read zero, the driver sets the scheduler's stop flag and wakes
+//! every shard (taking each run-queue lock before notifying, so a shard
+//! about to park either sees the flag or is woken); the shards exit.
+//! After the scope joins, `collect` retires every task still in the
+//! slab, asserting that its inbox is empty, and only then stops the
+//! wall clock. No task ever finishes on its own: an inbox with no
+//! senders left just reads empty.
+//!
+//! Sends to a worker whose task has already been torn down (it
+//! panicked) are *surrendered* rather than `expect`ed: the partition
+//! counter is re-credited for every undeliverable message so quiescence
+//! is still reached, and the worker's panic is contained by the shard
 //! that observed it and re-raised by the driver after teardown.
 //!
 //! Forest plans are seeded per root: the initial (or recovered) state is
-//! chain-forked along the partition predicates
-//! ([`partition_seeds`]) and each root
-//! receives its share directly — no synthetic coordinator worker exists
-//! to fork it at runtime. Checkpointing
+//! chain-forked along the partition predicates ([`partition_seeds`])
+//! and each root handles its share on the driver thread before any
+//! shard starts (`WorkerTask::seed`) — no synthetic coordinator worker
+//! exists to fork it at runtime. Checkpointing
 //! ([`Job::checkpoint_roots`](crate::job::Job::checkpoint_roots)) snapshots at
 //! *every* partition root's joins; each checkpoint is tagged with the
 //! root that took it.
@@ -103,8 +116,8 @@ mod wiring;
 
 use std::any::Any;
 use std::num::NonZeroUsize;
-use std::time::{Duration, Instant};
 
+use dgs_sync::time::{Duration, Instant};
 use dgs_sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use dgs_core::event::Timestamp;
@@ -115,12 +128,12 @@ use dgs_plan::plan::{Plan, WorkerId};
 
 use crate::elastic::{ElasticConfig, ReplanEvent};
 use crate::source::ScheduledStream;
-use crate::worker::{partition_seeds, WorkerCore, WorkerMsg};
+use crate::worker::{partition_seeds, WorkerCore};
 use executor::{place_workers, run_shard, PanicList, Scheduler};
 use feeder::{run_feeder, Feed, FeederControl};
-use migrate::{Controller, Stopper};
+use migrate::{Controller, Latch};
 use task::{drop_all_tasks, Produced, Retired, TaskEnv, TaskSlab, WorkerTask};
-use wiring::{send_credited, wire_plan, EdgeStorage, InFlight, Routes, ThreadMsg, Wired};
+use wiring::{wire_plan, EdgeStorage, InFlight, Wired};
 
 /// Worker slots pre-allocated in the executor slab for an elastic run's
 /// migrated sub-plans (every sub-plan takes fresh slots; retired slots
@@ -139,12 +152,9 @@ struct RunShared<Prog: DgsProgram> {
     panics: PanicList,
     env: TaskEnv,
     storage: EdgeStorage,
-    /// Driver-held edges (seed + shutdown), one slot per slab slot:
-    /// every initial worker has one, a reserve slot gets one when the
-    /// elastic controller activates it.
-    driver_plane: Mutex<Routes<Prog>>,
     ctl: FeederControl<Prog>,
-    stopper: Stopper,
+    /// Set once every source has finished: the elastic controller exits.
+    stop: Latch,
     /// Partition roots snapshot their state at every join — including
     /// the roots of sub-plans an elastic replan builds.
     checkpoint_root: bool,
@@ -160,7 +170,7 @@ impl<Prog: DgsProgram> RunShared<Prog> {
         }
     }
 
-    /// Hand a finished (or replaced) task's counters and buffers over.
+    /// Hand a task a replan replaced over: its counters and buffers.
     fn retire(&self, task: WorkerTask<Prog>) {
         self.retired.lock().expect("retired list poisoned").take(task);
     }
@@ -203,7 +213,7 @@ where
     let n = plan.len();
     // Shard count: requested (or host parallelism), clamped to the
     // worker count — more shards than workers would only park.
-    let default_par = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
+    let default_par = dgs_sync::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
     let shards_n = options.executor_threads.unwrap_or(default_par).max(1).min(n.max(1));
     let storage = EdgeStorage::for_shards(shards_n);
     let elastic = options.elastic.take();
@@ -217,7 +227,7 @@ where
         (0..plan.partition_count()).map(|_| Arc::new(InFlight::new())).collect();
     let mut placement = place_workers(&part_of, plan.partition_count(), shards_n);
     placement.extend((n..slot_cap).map(|w| w % shards_n));
-    let sched = Arc::new(Scheduler::new(&placement, shards_n, n));
+    let sched = Arc::new(Scheduler::new(&placement, shards_n));
     // Live metrics registry: shared with every worker and feeder, and
     // published to the caller's slot (if any) so a sampler thread can
     // snapshot mid-run.
@@ -228,8 +238,7 @@ where
     }
 
     // Wire the message plane: per worker an inbox and its peer edges,
-    // plus a driver edge per worker (seed + shutdown, unbounded) and one
-    // bounded ingress edge per stream.
+    // plus one bounded ingress edge per stream.
     let stream_dsts: Vec<usize> = streams
         .iter()
         .map(|s| {
@@ -240,17 +249,12 @@ where
         .collect();
     let identity: Vec<usize> = (0..n).collect();
     let Wired { inboxes, handles, routes } = wire_plan::<Prog>(plan, &identity, &sched, storage);
-    let driver_plane: Routes<Prog> = handles
-        .iter()
-        .map(|h| Some(storage.edge(h, None)))
-        .chain((n..slot_cap).map(|_| None))
-        .collect();
     let env = TaskEnv {
         metrics: metrics.clone(),
         pace: options.pace_ns_per_tick,
         start: Instant::now(),
     };
-    let tasks: TaskSlab<Prog> = plan
+    let mut tasks: Vec<WorkerTask<Prog>> = plan
         .iter()
         .zip(inboxes)
         .zip(routes)
@@ -258,7 +262,7 @@ where
             let mut core = WorkerCore::from_plan(prog.clone(), plan, id);
             core.checkpoint_on_join = checkpoint_root && plan.roots().contains(&id);
             let part = part_of[id.0];
-            Mutex::new(Some(WorkerTask::new(
+            WorkerTask::new(
                 id.0,
                 plan.roots()[part],
                 core,
@@ -266,19 +270,22 @@ where
                 routes,
                 in_flights[part].clone(),
                 env.clone(),
-            )))
+            )
         })
-        .chain((n..slot_cap).map(|_| Mutex::new(None)))
         .collect();
 
     // Seed each partition root with its share of the initial state
     // (chain-forked along the partition predicates; a single-root plan
-    // receives the state whole).
+    // receives the state whole), here on the driver thread before any
+    // shard starts. The forks it sends wake their targets' shards.
     for (&root, seed) in plan.roots().iter().zip(partition_seeds(prog.as_ref(), plan, initial)) {
-        let tx = driver_plane[root.0].as_ref().expect("every initial worker has a driver edge");
-        let seed = ThreadMsg::Protocol(WorkerMsg::StateDown { state: seed });
-        send_credited(&in_flights[part_of[root.0]], tx, std::iter::once(seed));
+        tasks[root.0].seed(seed);
     }
+    let tasks: TaskSlab<Prog> = tasks
+        .into_iter()
+        .map(|t| Mutex::new(Some(t)))
+        .chain((n..slot_cap).map(|_| Mutex::new(None)))
+        .collect();
 
     // Group streams onto capped feeder threads: at most one feeder per
     // shard, each owning a fixed set of streams — plan width no longer
@@ -307,15 +314,14 @@ where
         panics: Mutex::new(Vec::new()),
         env,
         storage,
-        driver_plane: Mutex::new(driver_plane),
         ctl,
-        stopper: Stopper::default(),
+        stop: Latch::default(),
         checkpoint_root,
     };
     let controller = elastic.map(|cfg| {
         Controller::new(&run, prog.clone(), cfg, plan, stream_itags, stream_part, &mut options)
     });
-    let replans = std::thread::scope(|scope| {
+    let replans = dgs_sync::thread::scope(|scope| {
         let run = &run;
         for s in 0..shards_n {
             scope.spawn(move || run_shard(s, run));
@@ -332,9 +338,9 @@ where
             f.join().expect("feeder panicked");
         }
         // Sources are done: stop the controller *before* waiting for
-        // quiescence so no replan can race teardown, then wait for it to
-        // finish any replan already in progress.
-        run.stopper.signal();
+        // quiescence so no replan can race the end of the run, then wait
+        // for it to finish any replan already in progress.
+        run.stop.set();
         let replans = controller.and_then(|c| c.join().ok()).unwrap_or_default();
         // Quiescence: all sources done and nothing in flight in any
         // partition. Each partition's final decrement signals its own
@@ -343,17 +349,12 @@ where
         for in_flight in &run.in_flights {
             in_flight.wait_zero();
         }
-        // Teardown: each worker's task polls the shutdown message and
-        // reports `Done`; a task already torn down (or replaced by a
-        // replan) just leaves it undelivered — nothing to panic about.
-        // Never-used reserve slots have no driver edge.
-        for tx in run.driver_plane.lock().expect("driver plane poisoned").iter().flatten() {
-            let _ = tx.send(ThreadMsg::Shutdown);
-        }
+        // The run is over: the shards exit, and `collect` retires the
+        // tasks they leave in the slab.
+        run.sched.stop();
         replans
     });
-    let wall = run.env.start.elapsed();
-    collect(run, options.record_timing, wall, shards_n, replans)
+    collect(run, options.record_timing, shards_n, replans)
 }
 
 /// The registry for a run of this shape. The workload label stays empty
@@ -383,24 +384,32 @@ fn new_registry<T: Tag>(
     ))
 }
 
-/// After the scope has joined: re-raise a contained panic, or fold what
-/// the retired tasks left behind into the run's result.
+/// After the scope has joined: re-raise a contained panic, or retire
+/// every task still in the slab and fold what the retired tasks left
+/// behind into the run's result. The wall clock stops once every buffer
+/// is handed over.
 fn collect<Prog: DgsProgram>(
     run: RunShared<Prog>,
     record_timing: bool,
-    wall: Duration,
     shards_n: usize,
     replans: Vec<ReplanEvent>,
 ) -> ThreadRunResult<Prog::State, Prog::Out> {
-    let RunShared { retired, panics, env, storage, .. } = run;
+    let RunShared { tasks, retired, panics, env, storage, .. } = run;
     // A program panic was contained by the shard that observed it so
     // teardown could finish without deadlock; re-raise it now, exactly
     // as a per-worker-thread scope join would have.
     if let Some(payload) = panics.into_inner().expect("panic list poisoned").pop() {
         std::panic::resume_unwind(payload);
     }
-    let Retired { effects, produced, checkpoints } =
-        retired.into_inner().expect("retired list poisoned");
+    let mut retired = retired.into_inner().expect("retired list poisoned");
+    for slot in tasks {
+        if let Some(task) = slot.into_inner().expect("task slot poisoned") {
+            assert!(task.inbox_is_empty(), "a message outlived quiescence");
+            retired.take(task);
+        }
+    }
+    let wall = env.start.elapsed();
+    let Retired { effects, produced, checkpoints } = retired;
     // Only the smaller task buffers are copied: each is appended onto the
     // largest and freed. Latencies exist only on paced runs.
     let Produced { outputs, latency_ns } = Produced::concat(produced);
@@ -1156,7 +1165,7 @@ mod tests {
     /// neighbor.
     #[test]
     fn steal_order_prefers_the_hottest_shard() {
-        let sched = Scheduler::new(&[0, 1, 2], 3, 3);
+        let sched = Scheduler::new(&[0, 1, 2], 3);
         // EWMA starts at zero; one sample puts shard 1 well above 2.
         sched.note_rate(1, 400);
         sched.note_rate(2, 40);
@@ -1305,8 +1314,8 @@ mod tests {
     }
 
     /// Checkpoints and outputs ride task-local buffers that are handed
-    /// over when a task retires — at `Done`, or when a replan replaces
-    /// its partition. With one partition and both ratios at 1.0 the
+    /// over when a task retires — when a replan replaces its partition,
+    /// or when the run ends. With one partition and both ratios at 1.0 the
     /// detector alternates fork, join, fork: generations that checkpoint
     /// (forked) on either side of one that does not (sequential). Across
     /// all of them the root's checkpoints must come out in trigger order

@@ -2,8 +2,8 @@
 //! behind for the driver.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
+use dgs_sync::time::{Duration, Instant};
 use dgs_sync::{Arc, Mutex, TryLockError};
 
 use dgs_core::event::Timestamp;
@@ -11,12 +11,14 @@ use dgs_core::program::DgsProgram;
 use dgs_metrics::{RunMetrics, TraceKind};
 use dgs_plan::plan::WorkerId;
 
-use super::migrate::HoldGate;
-use super::wiring::{send_credited, InFlight, Inbox, Msg, Routes, ThreadMsg};
+use super::migrate::Latch;
+use super::wiring::{send_credited, InFlight, Inbox, Msg, Routes};
 use super::RunEffects;
 use crate::worker::{Effects, WorkerCore, WorkerMsg};
 
-/// What one scheduling turn of a worker observed.
+/// What one scheduling turn of a worker observed. A task never
+/// finishes on its own: the run ends on quiescence, and the driver
+/// retires whatever tasks are left.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(super) enum TaskPoll {
     /// Inbox empty; the waker will re-enqueue the worker on the next
@@ -24,8 +26,6 @@ pub(super) enum TaskPoll {
     Pending,
     /// Budget exhausted with messages still queued; re-enqueue now.
     HasMore,
-    /// Shutdown received (or every sender is gone): the worker is done.
-    Done,
 }
 
 /// The run-wide settings every task carries.
@@ -98,12 +98,6 @@ impl<Out> Produced<Out> {
     }
 }
 
-type ProtocolMsg<Prog> = WorkerMsg<
-    <Prog as DgsProgram>::Tag,
-    <Prog as DgsProgram>::Payload,
-    <Prog as DgsProgram>::State,
->;
-
 /// A plan worker as a resumable state machine: the per-message body of
 /// a worker loop, minus the blocking receive. A shard polls it for a
 /// bounded batch; the protocol invariants (watermarked forwarding inside
@@ -152,9 +146,9 @@ where
     joins: u64,
     forks: u64,
     /// Installed by the elastic controller while it waits for this
-    /// partition root's hold to engage; signalled (once) from `poll` at
-    /// the step that captures the full state.
-    pub(super) hold_gate: Option<Arc<HoldGate>>,
+    /// partition root's hold to engage; set (once) from `poll` at the
+    /// step that captures the full state.
+    pub(super) hold_gate: Option<Arc<Latch>>,
 }
 
 impl<Prog: DgsProgram> WorkerTask<Prog> {
@@ -192,6 +186,21 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
         self.msgs
     }
 
+    /// Whether nothing is queued for this task. Every task the driver
+    /// retires at the end of a run must read `true`: quiescence means
+    /// every sent message was handled.
+    pub(super) fn inbox_is_empty(&self) -> bool {
+        self.inbox.is_empty()
+    }
+
+    /// Hand a partition root its share of the initial state. Called on
+    /// the driver thread before any shard starts, so the `StateDown`
+    /// never crosses an edge and carries no in-flight credit; the forks
+    /// it triggers are sent (and credited) like any step's.
+    pub(super) fn seed(&mut self, state: Prog::State) {
+        self.step(WorkerMsg::StateDown { state });
+    }
+
     /// Drain up to `budget` messages from the inbox, claiming them in
     /// batches so the per-message channel overhead (one claim-counter
     /// RMW, one lock round-trip per edge) is paid once per batch — and
@@ -202,48 +211,26 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
     pub(super) fn poll(&mut self, budget: usize) -> TaskPoll {
         let mut left = budget;
         while left > 0 {
+            // An inbox with no senders left is just empty: only a
+            // reroute can attach a new one, and the run ends on
+            // quiescence, not on a disconnect.
             let n = match self.inbox.try_recv_batch(&mut self.buf, left) {
-                // Every sender is gone: teardown is already underway
-                // and nothing more can arrive.
-                Err(_) => return TaskPoll::Done,
-                Ok(0) => return TaskPoll::Pending,
+                Ok(0) | Err(_) => return TaskPoll::Pending,
                 Ok(n) => n,
             };
             left -= n;
-            let mut handled = 0u64;
-            while let Some(msg) = self.buf.pop_front() {
-                match msg {
-                    ThreadMsg::Shutdown => {
-                        // Shutdown follows quiescence, so the batch
-                        // should never hold trailing protocol messages
-                        // — but if it does, surrender their in-flight
-                        // credits (with those of the messages handled
-                        // before it) so quiescence stays reachable.
-                        let trailing = self
-                            .buf
-                            .iter()
-                            .filter(|m| matches!(m, ThreadMsg::Protocol(_)))
-                            .count();
-                        self.in_flight.sub(handled + trailing as u64);
-                        self.buf.clear();
-                        return TaskPoll::Done;
-                    }
-                    ThreadMsg::Protocol(wm) => {
-                        self.step(wm);
-                        handled += 1;
-                        if self.hold_gate.is_some() && self.core.is_held() {
-                            // The elastic hold engaged on this step: the
-                            // core holds the partition's full state and
-                            // buffers everything else. Wake the waiting
-                            // controller.
-                            if let Some(g) = self.hold_gate.take() {
-                                g.signal();
-                            }
-                        }
+            while let Some(wm) = self.buf.pop_front() {
+                self.step(wm);
+                if self.hold_gate.is_some() && self.core.is_held() {
+                    // The elastic hold engaged on this step: the core
+                    // holds the partition's full state and buffers
+                    // everything else. Wake the waiting controller.
+                    if let Some(g) = self.hold_gate.take() {
+                        g.set();
                     }
                 }
             }
-            self.in_flight.sub(handled);
+            self.in_flight.sub(n as u64);
         }
         TaskPoll::HasMore
     }
@@ -251,7 +238,7 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
     /// Run one message through the core into the task's effects buffer
     /// and tally what it did. Shared by [`step`](Self::step) and
     /// [`pump`](Self::pump).
-    fn handle(&mut self, wm: ProtocolMsg<Prog>) {
+    fn handle(&mut self, wm: Msg<Prog>) {
         self.msgs += 1;
         let mts = if self.env.metrics.is_some() { msg_ts(&wm) } else { 0 };
         self.fx.clear();
@@ -270,7 +257,7 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
     }
 
     /// Handle one protocol message delivered through the inbox.
-    fn step(&mut self, wm: ProtocolMsg<Prog>) {
+    fn step(&mut self, wm: Msg<Prog>) {
         self.handle(wm);
         if self.env.metrics.is_some() && self.msgs.is_multiple_of(METRICS_FLUSH_EVERY) {
             self.flush_registry();
@@ -285,8 +272,8 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
     /// an edge (and so carry no in-flight credit).
     pub(super) fn pump(
         &mut self,
-        wm: ProtocolMsg<Prog>,
-        sink: &mut VecDeque<(WorkerId, ProtocolMsg<Prog>)>,
+        wm: Msg<Prog>,
+        sink: &mut VecDeque<(WorkerId, Msg<Prog>)>,
     ) {
         self.handle(wm);
         self.keep_effects();
@@ -342,8 +329,7 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
             let Some(tx) = self.routes[dst.0].as_ref() else {
                 panic!("no edge to worker {dst}: plan routing bug");
             };
-            let run = rest.by_ref().take(run).map(|(_, m)| ThreadMsg::Protocol(m));
-            send_credited(&self.in_flight, tx, run);
+            send_credited(&self.in_flight, tx, rest.by_ref().take(run).map(|(_, m)| m));
         }
     }
 
@@ -366,8 +352,9 @@ impl<Prog: DgsProgram> WorkerTask<Prog> {
 /// The task slab: one slot per worker, locked while a shard polls it.
 /// The mutex is what preserves the single-consumer inbox contract
 /// across work stealing — a worker migrates between shards, but at most
-/// one shard ever drains it at a time. `None` after the task finishes
-/// (the drop releases its inbox, so lingering senders fail fast).
+/// one shard ever drains it at a time. `None` once the task is retired
+/// or torn down (the drop releases its inbox, so lingering senders fail
+/// fast).
 pub(super) type TaskSlab<Prog> = Vec<Mutex<Option<WorkerTask<Prog>>>>;
 
 /// Drop every task a slot lock can be had for. Dropping a task drops
@@ -386,10 +373,10 @@ pub(super) fn drop_all_tasks<Prog: DgsProgram>(tasks: &TaskSlab<Prog>) {
 }
 
 /// What retired tasks leave behind, read by the driver once every
-/// thread of the run has joined. A task retires exactly once — when a
-/// shard sees it `Done`, or when the elastic controller replaces its
-/// partition — and each slot hosts exactly one task generation, so
-/// per-slot counters never conflate.
+/// thread of the run has joined. A task retires exactly once — when the
+/// elastic controller replaces its partition, or when the driver
+/// empties the slab after the run has ended — and each slot hosts
+/// exactly one task generation, so per-slot counters never conflate.
 pub(super) struct Retired<Prog: DgsProgram> {
     pub(super) effects: RunEffects,
     /// One buffer per retired task, moved in whole.

@@ -3,10 +3,9 @@
 //! turns a plan — the initial one, or an elastic replan's sub-plan —
 //! into inboxes and route tables.
 
-use std::time::{Duration, Instant};
-
 use crossbeam::edge;
 use dgs_sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use dgs_sync::time::Duration;
 use dgs_sync::{Arc, Condvar, Mutex};
 
 use dgs_core::program::DgsProgram;
@@ -15,12 +14,9 @@ use dgs_plan::plan::Plan;
 use super::executor::Scheduler;
 use crate::worker::WorkerMsg;
 
-pub(super) enum ThreadMsg<T, P, S> {
-    Protocol(WorkerMsg<T, P, S>),
-    Shutdown,
-}
-
-pub(super) type Msg<Prog> = ThreadMsg<
+/// What every edge carries: a protocol message, nothing else — the run
+/// ends on quiescence, not on a message.
+pub(super) type Msg<Prog> = WorkerMsg<
     <Prog as DgsProgram>::Tag,
     <Prog as DgsProgram>::Payload,
     <Prog as DgsProgram>::State,
@@ -93,8 +89,8 @@ pub(super) struct Wired<Prog: DgsProgram> {
 }
 
 /// Wire `plan`: one inbox per worker, its readiness waker installed
-/// *before* anything can be sent (so even seed sends enqueue their
-/// target), and worker→worker edges only where the protocol sends —
+/// *before* anything can be sent (so even the seed's forks enqueue
+/// their targets), and worker→worker edges only where the protocol sends —
 /// parent and children, unbounded: the fork/join protocol keeps at most
 /// one join in flight per worker, so those queues are structurally
 /// small, and blocking a worker's send could deadlock a cycle of full
@@ -201,11 +197,14 @@ impl InFlight {
         }
     }
 
+    /// Still waiting: work in flight and the run has not failed.
+    fn busy(&self) -> bool {
+        self.count.load(Ordering::SeqCst) != 0 && !self.failed.load(Ordering::SeqCst)
+    }
+
     pub(super) fn wait_zero(&self) {
-        let mut guard = self.gate.lock().expect("quiescence gate poisoned");
-        while self.count.load(Ordering::SeqCst) != 0 && !self.failed.load(Ordering::SeqCst) {
-            guard = self.zero.wait(guard).expect("quiescence gate poisoned");
-        }
+        let guard = self.gate.lock().expect("quiescence gate poisoned");
+        drop(self.zero.wait_while(guard, |_| self.busy()).expect("quiescence gate poisoned"));
     }
 
     /// Bounded wait for zero, parked on the same condvar: `true` once the
@@ -213,25 +212,12 @@ impl InFlight {
     /// elastic controller uses this while quiescing one partition so a
     /// liveness bug can only abort a replan, never hang the run.
     pub(super) fn wait_zero_for(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.gate.lock().expect("quiescence gate poisoned");
-        loop {
-            if self.count.load(Ordering::SeqCst) == 0 {
-                return true;
-            }
-            if self.failed.load(Ordering::SeqCst) {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _) = self
-                .zero
-                .wait_timeout(guard, deadline - now)
-                .expect("quiescence gate poisoned");
-            guard = g;
-        }
+        let guard = self.gate.lock().expect("quiescence gate poisoned");
+        let (_guard, _) = self
+            .zero
+            .wait_timeout_while(guard, timeout, |_| self.busy())
+            .expect("quiescence gate poisoned");
+        self.count.load(Ordering::SeqCst) == 0
     }
 }
 // ---- end quiescence protocol (scanned by `no_sleep_polling_in_quiescence`).

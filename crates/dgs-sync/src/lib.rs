@@ -47,18 +47,29 @@ pub mod atomic {
 }
 
 /// Thread utilities the message plane and executor use (`yield_now`,
-/// `park`, `spawn`, …). Model builds route them to the virtual-thread
-/// scheduler so a yield is an explorable scheduling point.
+/// `park`, `spawn`, `scope`, …). Model builds route the ones the model
+/// implements to the virtual-thread scheduler, so a yield is an
+/// explorable scheduling point; `scope`, `available_parallelism` and
+/// `panicking` stay std's in both personalities.
 #[cfg(not(dgs_model))]
 pub mod thread {
     pub use std::thread::{
-        current, park, park_timeout, sleep, spawn, yield_now, JoinHandle,
+        available_parallelism, current, panicking, park, park_timeout, scope, sleep, spawn,
+        yield_now, JoinHandle,
     };
 }
 
 #[cfg(dgs_model)]
 pub mod thread {
     pub use crate::model::thread::{park, park_timeout, spawn, yield_now, JoinHandle};
+    pub use std::thread::{available_parallelism, panicking, scope};
+}
+
+/// The clock. Both personalities re-export `std::time` today; the
+/// thread driver reads time only through here (`dgs-verify audit`
+/// enforces it), so a virtual clock can replace it in one place.
+pub mod time {
+    pub use std::time::{Duration, Instant};
 }
 
 // Lock types. `Arc` and the poison/error plumbing are identical in both

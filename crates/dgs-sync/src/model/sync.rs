@@ -182,6 +182,32 @@ impl Condvar {
         Ok(guard)
     }
 
+    /// std's semantics: returns once `condition` is false, or after a
+    /// timed-out wake with it still true (`timed_out()`). Wall-clock
+    /// time does not exist in the model, so "timed out" means the
+    /// engine's last-resort timed wake (counted in `timeout_wakes`).
+    pub fn wait_timeout_while<'a, T, F>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        dur: Duration,
+        mut condition: F,
+    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)>
+    where
+        F: FnMut(&mut T) -> bool,
+    {
+        loop {
+            if !condition(&mut guard) {
+                return Ok((guard, WaitTimeoutResult(false)));
+            }
+            let (g, res) = self.wait_timeout(guard, dur)?;
+            guard = g;
+            if res.timed_out() {
+                let still = condition(&mut guard);
+                return Ok((guard, WaitTimeoutResult(still)));
+            }
+        }
+    }
+
     pub fn notify_one(&self) {
         engine::cond_notify(self.cvid(), false);
     }

@@ -1,4 +1,4 @@
-//! Model suites for the workspace's five core concurrency protocols,
+//! Model suites for the workspace's six core concurrency protocols,
 //! as faithful shims over the modeled primitives — always compiled, so
 //! they run in a plain tier-1 `cargo test` (the same protocols are also
 //! exercised on the *real* `vendor/crossbeam` code under
@@ -470,7 +470,88 @@ fn parked_flag_read_before_the_lock_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// 5. Elastic hold/drain/rebind handoff + the take_reroute regression
+// 5. The end of a run: the stop flag vs an idle shard's park
+//    (dgs-runtime Scheduler::stop / Scheduler::park)
+// ---------------------------------------------------------------------
+
+/// A threaded run ends on quiescence: the driver sets the scheduler's
+/// stop flag, then takes each shard's run-queue lock and notifies it.
+/// An idle shard checks the flag on its way to park, and again under
+/// the run-queue lock right before it waits, so it either sees the flag
+/// or is already waiting when the notify lands. The wait here is
+/// untimed (the real park is a timed re-scan for stealable work), so a
+/// missed stop is a deadlock the checker reports. Reading the flag
+/// only *before* taking the lock misses it: the driver can set the flag
+/// and notify in between, while nobody waits yet.
+struct StopShim {
+    /// `(ready ids, parked)`.
+    list: Mutex<(Vec<usize>, bool)>,
+    ready: Condvar,
+    stopped: AtomicBool,
+}
+
+fn stop_vs_park_shim(check_under_lock: bool) {
+    let st = Arc::new(StopShim {
+        list: Mutex::new((Vec::new(), false)),
+        ready: Condvar::new(),
+        stopped: AtomicBool::new(false),
+    });
+
+    let st2 = st.clone();
+    let driver = model::thread::spawn(move || {
+        // The last publish before quiescence wakes the shard once
+        // (`Scheduler::wake`).
+        let parked = {
+            let mut q = st2.list.lock().expect("queue");
+            q.0.push(0);
+            q.1
+        };
+        if parked {
+            st2.ready.notify_one();
+        }
+        // Every partition quiescent: set the flag, then lock-then-notify.
+        st2.stopped.store(true, Ordering::SeqCst);
+        drop(st2.list.lock().expect("queue"));
+        st2.ready.notify_all();
+    });
+
+    // The shard: pop (`next_ready`), else exit on the flag, else park.
+    loop {
+        if st.list.lock().expect("queue").0.pop().is_some() {
+            continue;
+        }
+        if st.stopped.load(Ordering::SeqCst) {
+            break;
+        }
+        let mut q = st.list.lock().expect("queue");
+        if q.0.is_empty() && (!check_under_lock || !st.stopped.load(Ordering::SeqCst)) {
+            q.1 = true;
+            q = st.ready.wait(q).expect("queue");
+            q.1 = false;
+        }
+    }
+    driver.join().expect("driver");
+}
+
+#[test]
+fn stop_flag_checked_under_the_lock_passes_exhaustively() {
+    let report =
+        Config::dfs().preemptions(2).named("stop-vs-park").check(|| stop_vs_park_shim(true));
+    assert!(report.exhausted, "suite must be fully explored, ran {}", report.schedules);
+}
+
+#[test]
+fn stop_flag_read_before_the_lock_is_caught() {
+    let failure = Config::dfs()
+        .preemptions(2)
+        .named("stop-vs-park-early-read")
+        .check_result(|| stop_vs_park_shim(false))
+        .expect_err("a stop flag read before the lock must miss the stop");
+    assert!(failure.message.contains("deadlock"), "got: {}", failure.message);
+}
+
+// ---------------------------------------------------------------------
+// 6. Elastic hold/drain/rebind handoff + the take_reroute regression
 //    (dgs-runtime FeederControl; race fixed in the scale-out PR)
 // ---------------------------------------------------------------------
 
@@ -616,7 +697,7 @@ fn rebind_prefix_race_is_caught_and_replays_byte_identically() {
 // Schedule volume: the acceptance floor for the whole suite
 // ---------------------------------------------------------------------
 
-/// Seeded random sweeps across all five shipped protocols. Tier-1
+/// Seeded random sweeps across all six shipped protocols. Tier-1
 /// default explores >10k distinct schedules in aggregate with zero
 /// violations and zero timeout reliance; `DGS_MODEL_EXHAUSTIVE=1` (the
 /// CI deep leg) multiplies the budget 20x, and `DGS_MODEL_SCHEDULES=n`
@@ -624,11 +705,12 @@ fn rebind_prefix_race_is_caught_and_replays_byte_identically() {
 #[test]
 fn protocol_suites_explore_10k_distinct_schedules() {
     let budget = model::env_schedules(2_200);
-    let suites: [(&str, fn()); 5] = [
+    let suites: [(&str, fn()); 6] = [
         ("spsc-ring", || spsc_ring_shim(Ordering::Release)),
         ("inbox-claim", || inbox_claim_shim(Ordering::Release)),
         ("pop-vs-park", || pop_vs_park_shim(true)),
         ("sched-flag", || sched_flag_shim(true)),
+        ("stop-vs-park", || stop_vs_park_shim(true)),
         ("rebind", || rebind_shim(true)),
     ];
     let mut distinct = 0usize;
@@ -641,7 +723,7 @@ fn protocol_suites_explore_10k_distinct_schedules() {
     }
     assert!(
         distinct >= 10_000 || budget < 2_200,
-        "only {distinct} distinct schedules across the five protocol suites"
+        "only {distinct} distinct schedules across the six protocol suites"
     );
     assert_eq!(timeout_wakes, 0, "no shipped protocol may lean on a timeout for progress");
 }

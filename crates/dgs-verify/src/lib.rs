@@ -15,7 +15,12 @@
 //! * **R3 `atomics-via-facade`** — no code outside `crates/dgs-sync`
 //!   may name `std::sync::atomic` / `core::sync::atomic` directly; the
 //!   facade is the single choke point, which is what lets the model
-//!   checker swap the primitives under `--cfg dgs_model`.
+//!   checker swap the primitives under `--cfg dgs_model`. Its second
+//!   half, `clock-via-facade`, holds the thread driver
+//!   (`crates/dgs-runtime/src/thread_driver/`) to the same seam for
+//!   time and threads: outside test code it may not name `std::time`
+//!   or `std::thread`, only `dgs_sync::time` / `dgs_sync::thread`, so
+//!   a virtual clock can take their place in one spot.
 //! * **R4 `hot-path-no-unwrap`** — an allowlisted set of hot-path
 //!   modules must not call `.unwrap()` / `.expect(` outside test code.
 //! * **R5 `deny-unsafe-op-in-unsafe-fn`** — any crate containing
@@ -49,6 +54,9 @@ const NO_UNWRAP_ALLOWLIST: &[&str] = &[
 /// Path prefixes exempt from R2/R3: the facade crate itself is where
 /// the raw primitives and per-ordering semantics legitimately live.
 const FACADE_PREFIX: &str = "crates/dgs-sync";
+
+/// Where R3 also bans `std::time` / `std::thread` outside test code.
+const CLOCK_SEAM_PREFIX: &str = "crates/dgs-runtime/src/thread_driver/";
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -361,6 +369,7 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Violation> {
     let lines = lex_lines(src);
     let in_facade = rel_path.starts_with(FACADE_PREFIX);
     let no_unwrap = NO_UNWRAP_ALLOWLIST.contains(&rel_path);
+    let clock_seam = rel_path.starts_with(CLOCK_SEAM_PREFIX);
     let tests = test_mod_mask(&lines);
     let mut out = Vec::new();
 
@@ -411,6 +420,19 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Violation> {
                 file: rel_path.to_string(),
                 line: lineno,
                 message: "direct std/core::sync::atomic reference; import via dgs_sync::atomic"
+                    .to_string(),
+            });
+        }
+        if clock_seam
+            && !tests[idx]
+            && (code.contains("std::time") || code.contains("std::thread"))
+        {
+            out.push(Violation {
+                rule: "clock-via-facade",
+                file: rel_path.to_string(),
+                line: lineno,
+                message: "std::time / std::thread in the thread driver; import via \
+                          dgs_sync::time / dgs_sync::thread"
                     .to_string(),
             });
         }
@@ -678,6 +700,20 @@ mod tests {
         assert!(scan_source("crates/dgs-sync/src/model/engine.rs", src).is_empty());
         let v = scan_source("crates/dgs-runtime/src/thread_driver.rs", src);
         assert!(v.iter().any(|v| v.rule == "atomics-via-facade"));
+    }
+
+    #[test]
+    fn thread_driver_clock_and_threads_go_through_the_facade() {
+        let src = "use std::time::{Duration, Instant};\nuse dgs_sync::time::Instant;\n\
+                   #[cfg(test)]\nmod tests {\n    fn g() { std::thread::sleep(d); }\n}\n";
+        let hits: Vec<usize> = scan_source("crates/dgs-runtime/src/thread_driver/task.rs", src)
+            .iter()
+            .filter(|v| v.rule == "clock-via-facade")
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(hits, vec![1], "the std import is a hit; the facade import and tests are not");
+        // Outside the thread driver the rule does not apply.
+        assert!(scan_source("crates/dgs-runtime/src/job.rs", src).is_empty());
     }
 
     #[test]
